@@ -8,10 +8,14 @@
 /// directly from bench output.
 
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mps/runtime.hpp"
+#include "obs/trace.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -54,6 +58,28 @@ double time_region(mps::Comm& comm, Body&& body) {
   body();
   comm.barrier();
   return timer.seconds();
+}
+
+/// Per-rank summed durations of the spans recorded by the last trace
+/// session, by span name: the Fig. 8 per-kernel breakdown of a traced run.
+class RankSpans {
+ public:
+  /// Collect obs::TraceSession::events() of a run on \p ranks ranks.
+  explicit RankSpans(int ranks);
+  /// Summed seconds of \p name spans on \p rank (0 when absent).
+  [[nodiscard]] double seconds(std::string_view name, int rank) const;
+  /// The rank with the largest summed \p name spans. Reading child spans
+  /// on this critical rank keeps them nested inside its parent total.
+  [[nodiscard]] int critical_rank(std::string_view name) const;
+
+ private:
+  int ranks_;
+  std::map<std::string, std::vector<double>, std::less<>> sums_;
+};
+
+/// Table cell for a span-derived time: "-" when tracing is compiled out.
+inline std::string span_cell(double seconds) {
+  return obs::kTraceCompiled ? util::Table::fmt(seconds, 3) : "-";
 }
 
 /// Estimate this machine's per-core GEMM throughput (flops/s) for the

@@ -2,7 +2,8 @@
 /// \brief Reproduces Fig. 8a: relative ST-HOSVD run time across processor
 /// grid configurations for a 4-way cubical tensor compressed 4x per mode
 /// (paper: 384^4 -> 96^4 on 384 cores; here scaled to thread-ranks on one
-/// node). Each bar is broken down into Gram / Evecs / TTM time.
+/// node). Each bar is broken down into Gram / Evecs / TTM time, read from
+/// the kernels' own spans on the critical rank.
 
 #include <algorithm>
 
@@ -87,20 +88,24 @@ int main(int argc, char** argv) {
       auto grid = dist::make_grid(comm, shape);
       const dist::DistTensor x =
           data::make_low_rank(grid, dims, ranks, 5, 0.01);
-      util::KernelTimers timers;
       core::SthosvdOptions opts;
       opts.fixed_ranks = ranks;
-      opts.timers = &timers;
+      // time_region's barriers bracket the session: no rank enters
+      // st_hosvd before it starts, and every rank has left before it stops.
+      if (comm.rank() == 0) obs::TraceSession::start();
       const double t = bench::time_region(comm, [&] {
         (void)core::st_hosvd(x, opts);
       });
       if (comm.rank() == 0) {
+        obs::TraceSession::stop();
         res.total = t;
-        res.gram = timers.total("Gram");
-        res.evecs = timers.total("Evecs");
-        res.ttm = timers.total("TTM");
       }
     });
+    const bench::RankSpans spans(p);
+    const int c = spans.critical_rank("st_hosvd.mode");
+    res.gram = spans.seconds("Gram", c);
+    res.evecs = spans.seconds("Evecs", c);
+    res.ttm = spans.seconds("TTM", c);
     results.push_back(res);
   }
 
@@ -114,8 +119,8 @@ int main(int argc, char** argv) {
   for (const auto& r : results) {
     table.add_row({bench::shape_name(r.shape), util::Table::fmt(r.total, 3),
                    util::Table::fmt(r.total / best, 2),
-                   util::Table::fmt(r.gram, 3), util::Table::fmt(r.evecs, 3),
-                   util::Table::fmt(r.ttm, 3)});
+                   bench::span_cell(r.gram), bench::span_cell(r.evecs),
+                   bench::span_cell(r.ttm)});
   }
   std::printf("%s", table.str().c_str());
   bench::paper_note(

@@ -54,22 +54,26 @@ int main(int argc, char** argv) {
       auto grid = dist::make_grid(comm, shape);
       const dist::DistTensor x =
           data::make_low_rank(grid, dims, ranks, 9, 0.01);
-      util::KernelTimers timers;
       core::SthosvdOptions opts;
       opts.fixed_ranks = ranks;
       opts.order_strategy = core::ModeOrderStrategy::Custom;
       opts.custom_order = order;
-      opts.timers = &timers;
+      // time_region's barriers bracket the session: no rank enters
+      // st_hosvd before it starts, and every rank has left before it stops.
+      if (comm.rank() == 0) obs::TraceSession::start();
       const double t = bench::time_region(comm, [&] {
         (void)core::st_hosvd(x, opts);
       });
       if (comm.rank() == 0) {
+        obs::TraceSession::stop();
         res.total = t;
-        res.gram = timers.total("Gram");
-        res.evecs = timers.total("Evecs");
-        res.ttm = timers.total("TTM");
       }
     });
+    const bench::RankSpans spans(p);
+    const int c = spans.critical_rank("st_hosvd.mode");
+    res.gram = spans.seconds("Gram", c);
+    res.evecs = spans.seconds("Evecs", c);
+    res.ttm = spans.seconds("TTM", c);
     results.push_back(res);
   } while (std::next_permutation(order.begin(), order.end()));
 
@@ -85,8 +89,8 @@ int main(int argc, char** argv) {
     for (int n : r.order) name += std::to_string(n + 1);
     table.add_row({name, util::Table::fmt(r.total, 3),
                    util::Table::fmt(r.total / best, 2),
-                   util::Table::fmt(r.gram, 3), util::Table::fmt(r.evecs, 3),
-                   util::Table::fmt(r.ttm, 3)});
+                   bench::span_cell(r.gram), bench::span_cell(r.evecs),
+                   bench::span_cell(r.ttm)});
   }
   std::printf("%s", table.str().c_str());
   bench::paper_note(

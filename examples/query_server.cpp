@@ -14,11 +14,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <numbers>
+#include <string_view>
 
 #include "core/st_hosvd.hpp"
 #include "dist/grid.hpp"
 #include "mps/runtime.hpp"
+#include "obs/registry.hpp"
+#include "obs/trace.hpp"
 #include "pario/archive_io.hpp"
 #include "serve/query_server.hpp"
 #include "util/cli.hpp"
@@ -157,25 +161,44 @@ int main(int argc, char** argv) {
   std::printf("executor: %zu async single-step queries done (sum %.4f)\n",
               pending.size(), total);
 
-  // Per-query introspection: re-run the sub-box query traced. Every panel
-  // it needs is now cached, so the breakdown shows the hit path.
-  serve::QueryTrace qt;
-  const tensor::Tensor traced = server.subtensor_traced(req, qt);
+  // Per-query introspection: re-run the sub-box query under a trace
+  // session. Every panel it needs is now cached, so the breakdown shows the
+  // hit path. Stage times are the query's serve.* spans; hits, misses and
+  // bytes are registry deltas.
+  const auto counter = [](const char* name) {
+    return static_cast<unsigned long long>(
+        obs::registry().counter(name).value());
+  };
+  const unsigned long long hits0 = counter("serve.cache.hits");
+  const unsigned long long misses0 = counter("serve.cache.misses");
+  const unsigned long long bytes0 = counter("pario.read_bytes");
+  obs::TraceSession::start();
+  const tensor::Tensor traced = server.subtensor(req);
+  obs::TraceSession::stop();
   PT_CHECK(traced.size() == box.size(),
            "traced query disagrees with the untraced one");
-  std::printf(
-      "traced query: %zu entries (%zu hit, %zu miss), %llu bytes loaded\n",
-      qt.entries_touched, qt.cache_hits, qt.cache_misses,
-      static_cast<unsigned long long>(qt.bytes_loaded));
-  std::printf(
-      "  route %llu us | load %llu us | reconstruct %llu us | "
-      "denormalize %llu us | stitch %llu us | total %llu us\n",
-      static_cast<unsigned long long>(qt.route_us),
-      static_cast<unsigned long long>(qt.load_us),
-      static_cast<unsigned long long>(qt.reconstruct_us),
-      static_cast<unsigned long long>(qt.denormalize_us),
-      static_cast<unsigned long long>(qt.stitch_us),
-      static_cast<unsigned long long>(qt.total_us));
+  if (obs::kTraceCompiled) {
+    std::map<std::string_view, unsigned long long> ns;
+    std::size_t entries = 0;
+    for (const obs::TraceEvent& e : obs::TraceSession::events()) {
+      ns[e.name] += e.dur_ns;
+      if (std::string_view(e.name) == "serve.entry") ++entries;
+    }
+    const auto us = [&](const char* name) { return ns[name] / 1000; };
+    std::printf(
+        "traced query: %zu entries (%llu hit, %llu miss), %llu bytes "
+        "loaded\n",
+        entries, counter("serve.cache.hits") - hits0,
+        counter("serve.cache.misses") - misses0,
+        counter("pario.read_bytes") - bytes0);
+    std::printf(
+        "  route %llu us | load %llu us | reconstruct %llu us | "
+        "denormalize %llu us | stitch %llu us | total %llu us\n",
+        us("serve.route"), us("serve.load"), us("serve.reconstruct"),
+        us("serve.denormalize"), us("serve.stitch"), us("serve.query"));
+  } else {
+    std::printf("traced query: tracing compiled out (PTUCKER_OBS=OFF)\n");
+  }
 
   // Live introspection: the whole stack (server, cache, executor, plus the
   // process-wide obs registry) in one text report.

@@ -32,8 +32,7 @@ std::vector<int> growth_sorted_modes(std::span<const Matrix> factors) {
 
 DistTensor reconstruct_with_factors(const TuckerTensor& model,
                                     const std::vector<Matrix>& factors,
-                                    dist::TtmAlgo algo,
-                                    util::KernelTimers* timers) {
+                                    dist::TtmAlgo algo) {
   const int order = model.order();
   const std::vector<int> mode_order =
       growth_sorted_modes(std::span<const Matrix>(factors));
@@ -41,20 +40,19 @@ DistTensor reconstruct_with_factors(const TuckerTensor& model,
   for (int n = 0; n < order; ++n) {
     ptrs[static_cast<std::size_t>(n)] = &factors[static_cast<std::size_t>(n)];
   }
-  return dist::ttm_chain(model.core, ptrs, mode_order, algo, timers);
+  return dist::ttm_chain(model.core, ptrs, mode_order, algo);
 }
 
 }  // namespace
 
-DistTensor reconstruct(const TuckerTensor& model, dist::TtmAlgo algo,
-                       util::KernelTimers* timers) {
-  return reconstruct_with_factors(model, model.factors, algo, timers);
+DistTensor reconstruct(const TuckerTensor& model, dist::TtmAlgo algo) {
+  return reconstruct_with_factors(model, model.factors, algo);
 }
 
 DistTensor reconstruct_subtensor(
     const TuckerTensor& model,
     const std::vector<std::vector<std::size_t>>& index_sets,
-    dist::TtmAlgo algo, util::KernelTimers* timers) {
+    dist::TtmAlgo algo) {
   PT_REQUIRE(index_sets.size() == static_cast<std::size_t>(model.order()),
              "reconstruct_subtensor: one index set per mode required");
   std::vector<Matrix> sub_factors(index_sets.size());
@@ -67,12 +65,12 @@ DistTensor reconstruct_subtensor(
           index_sets[n].data(), index_sets[n].size()));
     }
   }
-  return reconstruct_with_factors(model, sub_factors, algo, timers);
+  return reconstruct_with_factors(model, sub_factors, algo);
 }
 
 DistTensor reconstruct_range(const TuckerTensor& model,
                              const std::vector<util::Range>& ranges,
-                             dist::TtmAlgo algo, util::KernelTimers* timers) {
+                             dist::TtmAlgo algo) {
   PT_REQUIRE(ranges.size() == static_cast<std::size_t>(model.order()),
              "reconstruct_range: one range per mode required");
   std::vector<std::vector<std::size_t>> index_sets(ranges.size());
@@ -80,7 +78,7 @@ DistTensor reconstruct_range(const TuckerTensor& model,
     index_sets[n].resize(ranges[n].size());
     std::iota(index_sets[n].begin(), index_sets[n].end(), ranges[n].lo);
   }
-  return reconstruct_subtensor(model, index_sets, algo, timers);
+  return reconstruct_subtensor(model, index_sets, algo);
 }
 
 tensor::Tensor reconstruct_range_local(const tensor::Tensor& core,

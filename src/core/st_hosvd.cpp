@@ -80,8 +80,8 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
   double tail_total = 0.0;
 
   for (int n : result.mode_order_used) {
-    // Span names match the KernelTimers buckets so a trace of one run
-    // shows the Fig. 8 decomposition as a timeline, mode in the arg.
+    // Parent of the kernels' own Gram/Evecs/TTM (or Sketch/TSQR) spans, so
+    // a trace of one run shows the Fig. 8 decomposition as a timeline.
     obs::Span span_mode("st_hosvd.mode", n);
     const std::size_t fixed_rank =
         options.fixed_ranks.empty()
@@ -97,11 +97,8 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
 
     dist::FactorResult factor;
     if (route == FactorRoute::Randomized) {
-      dist::SketchFactorResult sk = [&] {
-        obs::Span span("Sketch", n);
-        return dist::factor_via_sketch(y, n, select, options.sketch,
-                                       options.timers);
-      }();
+      dist::SketchFactorResult sk =
+          dist::factor_via_sketch(y, n, select, options.sketch);
       result.sketches.push_back({n, sk.seed, sk.width, sk.power_iterations,
                                  !sk.certified});
       if (sk.certified) {
@@ -117,17 +114,10 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
       }
     }
     if (route == FactorRoute::Tsqr) {
-      obs::Span span("TSQR", n);
-      factor = dist::factor_via_tsqr(y, n, select, options.timers);
-      result.tsqr_modes.push_back(n);
+      factor = dist::factor_via_tsqr(y, n, select);
     } else if (route == FactorRoute::Gram) {
-      const dist::GramColumns s = [&] {
-        obs::Span span("Gram", n);
-        return dist::gram(y, n, options.gram_algo, options.timers);
-      }();
-      obs::Span span("Evecs", n);
-      factor = dist::eigenvectors(s, y.grid(), n, select, options.eig_algo,
-                                  options.timers);
+      const dist::GramColumns s = dist::gram(y, n, options.gram_algo);
+      factor = dist::eigenvectors(s, y.grid(), n, select, options.eig_algo);
     }
     result.mode_routes[static_cast<std::size_t>(n)] = route;
 
@@ -139,11 +129,7 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
         factor.eigenvalues;
 
     // Truncate: Y <- Y x_n U^T.
-    const Matrix ut = factor.u.transposed();
-    {
-      obs::Span span("TTM", n);
-      y = dist::ttm(y, ut, n, options.ttm_algo, options.timers);
-    }
+    y = dist::ttm(y, factor.u.transposed(), n, options.ttm_algo);
     result.tucker.factors[static_cast<std::size_t>(n)] = std::move(factor.u);
   }
 

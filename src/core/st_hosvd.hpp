@@ -93,9 +93,6 @@ struct SthosvdOptions {
   /// Knobs for FactorMethod::Randomized (seed, oversampling, power
   /// iterations) and the Auto gate for it.
   dist::SketchOptions sketch;
-
-  /// Optional per-kernel per-mode timing sink (Fig. 8 breakdowns).
-  util::KernelTimers* timers = nullptr;
 };
 
 struct SthosvdResult {
@@ -116,9 +113,6 @@ struct SthosvdResult {
   /// One record per mode the randomized route attempted (seed, width, q,
   /// whether it fell back) — the observability trail for reproducing a run.
   std::vector<SketchTrace> sketches;
-  /// Modes whose factor was computed by the TSQR route (all modes under
-  /// TsqrSvd; the cost model's picks under Auto; empty under GramEig).
-  std::vector<int> tsqr_modes;
   double norm_x = 0.0;       ///< ‖X‖
   double norm_x_sq = 0.0;    ///< ‖X‖²
   /// Upper bound on ‖X − X̃‖ / ‖X‖ from the truncated eigenvalue tails

@@ -6,6 +6,7 @@
 
 #include "lapack/lapack.hpp"
 #include "mps/collectives.hpp"
+#include "obs/trace.hpp"
 
 namespace ptucker::dist {
 
@@ -52,11 +53,10 @@ void canonicalize_columns(tensor::Matrix& u) {
 }  // namespace detail
 
 FactorResult eigenvectors(const GramColumns& s, const mps::CartGrid& grid,
-                          int mode, const RankSelection& select, EigAlgo algo,
-                          util::KernelTimers* timers) {
+                          int mode, const RankSelection& select, EigAlgo algo) {
   PT_REQUIRE(mode >= 0 && mode < grid.order(),
              "eigenvectors: mode out of range");
-  util::ScopedKernelTimer scope(timers, "Evecs", mode);
+  obs::Span span("Evecs", mode);
 
   const std::size_t jn = s.cols.rows();
   const int pn = grid.extent(mode);

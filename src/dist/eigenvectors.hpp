@@ -67,8 +67,7 @@ struct FactorResult {
 [[nodiscard]] FactorResult eigenvectors(const GramColumns& s,
                                         const mps::CartGrid& grid, int mode,
                                         const RankSelection& select,
-                                        EigAlgo algo = EigAlgo::TridiagonalQL,
-                                        util::KernelTimers* timers = nullptr);
+                                        EigAlgo algo = EigAlgo::TridiagonalQL);
 
 namespace detail {
 /// Flip each column's sign so its largest-magnitude entry is positive (the

@@ -11,7 +11,6 @@
 
 #include "dist/dist_tensor.hpp"
 #include "tensor/local_kernels.hpp"
-#include "util/timer.hpp"
 
 namespace ptucker::dist {
 
@@ -40,7 +39,6 @@ struct GramColumns {
 
 /// Collective: compute this rank's Gram block column for mode n.
 [[nodiscard]] GramColumns gram(const DistTensor& x, int mode,
-                               GramAlgo algo = GramAlgo::Auto,
-                               util::KernelTimers* timers = nullptr);
+                               GramAlgo algo = GramAlgo::Auto);
 
 }  // namespace ptucker::dist

@@ -7,6 +7,7 @@
 #include "dist/tsqr.hpp"
 #include "lapack/lapack.hpp"
 #include "mps/collectives.hpp"
+#include "obs/trace.hpp"
 #include "tensor/local_kernels.hpp"
 #include "util/rng.hpp"
 
@@ -181,8 +182,7 @@ std::size_t sketch_width(std::size_t jn, std::size_t fixed_rank,
 
 SketchFactorResult factor_via_sketch(const DistTensor& y, int mode,
                                      const RankSelection& select,
-                                     const SketchOptions& options,
-                                     util::KernelTimers* timers) {
+                                     const SketchOptions& options) {
   PT_REQUIRE(mode >= 0 && mode < y.order(), "sketch: mode out of range");
   const std::size_t jn = y.global_dim(mode);
   const std::size_t jhat =
@@ -196,7 +196,7 @@ SketchFactorResult factor_via_sketch(const DistTensor& y, int mode,
   // Sketch + orthonormalize: S = Y(n) Omega, Q = thin-QR(S).
   tensor::Matrix q;
   {
-    util::ScopedKernelTimer scope(timers, "Sketch", mode);
+    obs::Span span("Sketch", mode);
     const tensor::Tensor omega = omega_block(y, mode, width, options.seed);
     q = orthonormalize(replicated_cross_gram(y, omega, mode));
   }
@@ -206,8 +206,8 @@ SketchFactorResult factor_via_sketch(const DistTensor& y, int mode,
   // processor-column allgatherv hidden under the own-block columns, then
   // re-orthonormalize.
   for (int pass = 0; pass < options.power_iterations; ++pass) {
-    const DistTensor z = ttm(y, q.transposed(), mode, TtmAlgo::Auto, timers);
-    util::ScopedKernelTimer scope(timers, "Sketch", mode);
+    const DistTensor z = ttm(y, q.transposed(), mode, TtmAlgo::Auto);
+    obs::Span span("Sketch", mode);
     q = orthonormalize(overlapped_power_cross_gram(y, z, mode));
   }
 
@@ -216,10 +216,10 @@ SketchFactorResult factor_via_sketch(const DistTensor& y, int mode,
   // Z (w-row unfolding — cheap) plus the redundant SVD of R^T yields
   // sigma_i(B) and the left vectors U_B, exactly as factor_via_tsqr does for
   // the full unfolding.
-  const DistTensor z = ttm(y, q.transposed(), mode, TtmAlgo::Auto, timers);
-  const tensor::Matrix r = tsqr_r_factor(z, mode, timers);
+  const DistTensor z = ttm(y, q.transposed(), mode, TtmAlgo::Auto);
+  const tensor::Matrix r = tsqr_r_factor(z, mode);
 
-  util::ScopedKernelTimer scope(timers, "Evecs", mode);
+  obs::Span span("Evecs", mode);
   const tensor::Matrix rt = r.transposed();
   const la::JacobiSvd svd = la::jacobi_svd(rt.data(), width, width, width);
 

@@ -82,6 +82,6 @@ struct SketchFactorResult {
 /// on any grid.
 [[nodiscard]] SketchFactorResult factor_via_sketch(
     const DistTensor& y, int mode, const RankSelection& select,
-    const SketchOptions& options, util::KernelTimers* timers = nullptr);
+    const SketchOptions& options);
 
 }  // namespace ptucker::dist

@@ -183,18 +183,8 @@ std::uint64_t QueryServer::generation(std::size_t a) const {
   return snapshot(a).generation;
 }
 
-tensor::Tensor QueryServer::evaluate(const Request& req) const {
-  return evaluate(req, nullptr);
-}
-
-tensor::Tensor QueryServer::evaluate(const Request& req,
-                                     QueryTrace* qt) const {
-  return evaluate(req, qt, std::chrono::steady_clock::now());
-}
-
 tensor::Tensor QueryServer::evaluate(
-    const Request& req, QueryTrace* qt,
-    std::chrono::steady_clock::time_point anchor) const {
+    const Request& req, std::chrono::steady_clock::time_point anchor) const {
   using clock = std::chrono::steady_clock;
   const clock::time_point t_begin = clock::now();
   obs::Span span_query("serve.query");
@@ -248,10 +238,6 @@ tensor::Tensor QueryServer::evaluate(
     // covering validates the step range (non-empty, within the archive).
     hits = ar.covering(req.step_lo, req.step_hi);
   }
-  if (qt != nullptr) {
-    qt->entries_touched = hits.size();
-    qt->route_us = us_between(t_begin, clock::now());
-  }
 
   tensor::Dims out_dims(sorder + 1);
   for (std::size_t n = 0; n < sorder; ++n) out_dims[n] = box[n].size();
@@ -278,14 +264,11 @@ tensor::Tensor QueryServer::evaluate(
       }
     }
     const PanelKey key{req.archive, snap.generation, e};
-    bool missed = false;
     std::shared_ptr<const EntryPanels> panels;
     try {
       panels = cache_.get_or_load(
           key, [&]() -> std::shared_ptr<const EntryPanels> {
             obs::Span span_load("serve.load", static_cast<std::int64_t>(e));
-            const clock::time_point t_load = clock::now();
-            missed = true;
             pario::LocalModelData md = ar.read_entry_local(e);
             auto p = std::make_shared<EntryPanels>();
             p->step_first = ar.entry(e).step_first;
@@ -294,10 +277,6 @@ tensor::Tensor QueryServer::evaluate(
             p->factors = std::move(md.factors);
             p->has_stats = md.has_stats;
             p->stats = std::move(md.stats);
-            if (qt != nullptr) {
-              qt->bytes_loaded += ar.entry(e).byte_count;
-              qt->load_us += us_between(t_load, clock::now());
-            }
             return p;
           });
     } catch (const Error& err) {
@@ -315,15 +294,6 @@ tensor::Tensor QueryServer::evaluate(
       throw;
     }
     check_deadline("load");
-    if (qt != nullptr) {
-      // A racing thread's insert still counts as this query's miss: the
-      // loader ran (or didn't) on this thread, which is what load_us times.
-      if (missed) {
-        ++qt->cache_misses;
-      } else {
-        ++qt->cache_hits;
-      }
-    }
     // This entry's share of the answer: the requested box, restricted in
     // time to the overlap of [step_lo, step_hi) with the entry's window.
     const std::uint64_t glo = std::max(req.step_lo, panels->step_first);
@@ -332,7 +302,6 @@ tensor::Tensor QueryServer::evaluate(
     std::vector<util::Range> ranges = box;
     ranges.push_back({static_cast<std::size_t>(glo - panels->step_first),
                       static_cast<std::size_t>(ghi - panels->step_first)});
-    const clock::time_point t_recon = clock::now();
     tensor::Tensor part;
     {
       obs::Span span_recon("serve.reconstruct",
@@ -341,8 +310,6 @@ tensor::Tensor QueryServer::evaluate(
           panels->core,
           std::span<const tensor::Matrix>(panels->factors), ranges);
     }
-    const clock::time_point t_denorm = clock::now();
-    if (qt != nullptr) qt->reconstruct_us += us_between(t_recon, t_denorm);
     if (panels->has_stats && opts_.denormalize) {
       obs::Span span_denorm("serve.denormalize",
                             static_cast<std::int64_t>(e));
@@ -353,8 +320,6 @@ tensor::Tensor QueryServer::evaluate(
           part, panels->stats,
           box[static_cast<std::size_t>(panels->stats.species_mode)].lo);
     }
-    const clock::time_point t_stitch = clock::now();
-    if (qt != nullptr) qt->denormalize_us += us_between(t_denorm, t_stitch);
     {
       obs::Span span_stitch("serve.stitch", static_cast<std::int64_t>(e));
       // Stitch along time (last, slowest mode): this entry's share is one
@@ -365,23 +330,14 @@ tensor::Tensor QueryServer::evaluate(
       std::memcpy(out.data() + (glo - req.step_lo) * slab, part.data(),
                   part.size() * sizeof(double));
     }
-    if (qt != nullptr) qt->stitch_us += us_between(t_stitch, clock::now());
   }
-  const std::uint64_t total_us = us_between(t_begin, clock::now());
-  if (qt != nullptr) qt->total_us = total_us;
   serve_metrics().queries.inc();
-  serve_metrics().query_us.record(total_us);
+  serve_metrics().query_us.record(us_between(t_begin, clock::now()));
   return out;
 }
 
 tensor::Tensor QueryServer::subtensor(const Request& req) const {
   return evaluate(req);
-}
-
-tensor::Tensor QueryServer::subtensor_traced(const Request& req,
-                                             QueryTrace& trace) const {
-  trace = QueryTrace{};
-  return evaluate(req, &trace);
 }
 
 std::future<tensor::Tensor> QueryServer::submit(Request req) const {
@@ -461,7 +417,7 @@ void QueryServer::worker_loop() {
     // Count completion BEFORE resolving the future, so a client that has
     // seen every future resolve also sees completed == submitted.
     try {
-      tensor::Tensor result = evaluate(job.req, nullptr, job.enqueued);
+      tensor::Tensor result = evaluate(job.req, job.enqueued);
       {
         std::lock_guard<std::mutex> lock(queue_mutex_);
         ++exec_counters_.completed;

@@ -101,22 +101,6 @@ struct ExecutorCounters {
   std::size_t deadline_misses = 0;  ///< queries that threw DeadlineExceeded
 };
 
-/// Per-query introspection: what one evaluation actually did. Filled by
-/// subtensor_traced(); stage times are microseconds of wall clock on the
-/// evaluating thread.
-struct QueryTrace {
-  std::size_t entries_touched = 0;  ///< archive entries covering the range
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  std::uint64_t bytes_loaded = 0;  ///< compressed blob bytes read on misses
-  std::uint64_t route_us = 0;      ///< validation + covering-entry lookup
-  std::uint64_t load_us = 0;       ///< entry read + decompress (misses only)
-  std::uint64_t reconstruct_us = 0;
-  std::uint64_t denormalize_us = 0;
-  std::uint64_t stitch_us = 0;
-  std::uint64_t total_us = 0;
-};
-
 class QueryServer {
  public:
   /// Open the given archives (each must exist and parse). Queries name an
@@ -141,12 +125,6 @@ class QueryServer {
 
   /// Synchronous evaluation on the calling thread (no queue).
   [[nodiscard]] tensor::Tensor subtensor(const Request& req) const;
-
-  /// subtensor() plus a per-query breakdown (entries touched, cache hits,
-  /// bytes loaded, per-stage micros) written to \p trace. Same answer bytes
-  /// as subtensor() — tracing never changes evaluation.
-  [[nodiscard]] tensor::Tensor subtensor_traced(const Request& req,
-                                                QueryTrace& trace) const;
 
   /// Asynchronous evaluation through the bounded executor. While the
   /// admission queue is full, blocks — or, with shed_on_overload, throws
@@ -214,14 +192,11 @@ class QueryServer {
     std::uint64_t generation = 0;
   };
   [[nodiscard]] Snapshot snapshot(std::size_t a) const;
-  [[nodiscard]] tensor::Tensor evaluate(const Request& req) const;
-  [[nodiscard]] tensor::Tensor evaluate(const Request& req,
-                                        QueryTrace* qt) const;
   /// \p anchor is when the query's deadline clock started — submit() time
   /// for executor queries, call time for synchronous ones.
   [[nodiscard]] tensor::Tensor evaluate(
-      const Request& req, QueryTrace* qt,
-      std::chrono::steady_clock::time_point anchor) const;
+      const Request& req, std::chrono::steady_clock::time_point anchor =
+                              std::chrono::steady_clock::now()) const;
   void worker_loop();
 
   ServerOptions opts_;

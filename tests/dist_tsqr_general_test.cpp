@@ -136,8 +136,8 @@ TEST(TsqrGeneral, EmptyModeBlocksHandled) {
   });
 }
 
-/// ISSUE acceptance: on a 2x2(x1) grid the TSQR route runs on every mode —
-/// tsqr_modes records all of them — and the result matches the Gram route
+/// On a 2x2(x1) grid the TSQR route runs on every mode — mode_routes
+/// records it for all of them — and the result matches the Gram route
 /// and the sequential reference with the eq. 3 bound intact.
 TEST(TsqrGeneral, SthosvdNoFallbackOn2x2Grid) {
   const Dims dims{8, 9, 7};
@@ -153,8 +153,11 @@ TEST(TsqrGeneral, SthosvdNoFallbackOn2x2Grid) {
 
     const auto a = core::st_hosvd(x, gram_opts);
     const auto b = core::st_hosvd(x, tsqr_opts);
-    EXPECT_EQ(b.tsqr_modes, (std::vector<int>{0, 1, 2}))
-        << "TSQR must be exercised on every mode, not silently fall back";
+    for (int n = 0; n < 3; ++n) {
+      EXPECT_EQ(b.mode_routes[static_cast<std::size_t>(n)],
+                core::FactorRoute::Tsqr)
+          << "TSQR must be exercised on every mode, not silently fall back";
+    }
     EXPECT_EQ(a.tucker.core_dims(), b.tucker.core_dims());
     EXPECT_LE(b.error_bound, eps);
     const double err_a =
@@ -216,8 +219,10 @@ TEST(TsqrGeneral, SthosvdAutoRoutesTallSkinnyModeThroughTsqr) {
     opts.factor_method = core::FactorMethod::Auto;
     const auto result = core::st_hosvd(x, opts);
     // Mode 0 is tall-skinny (4 x 3600, P0 = 2): the model routes it through
-    // TSQR; the fat later modes stay on the Gram route.
-    EXPECT_EQ(result.tsqr_modes, (std::vector<int>{0}));
+    // TSQR; the fat later modes do not.
+    EXPECT_EQ(result.mode_routes[0], core::FactorRoute::Tsqr);
+    EXPECT_NE(result.mode_routes[1], core::FactorRoute::Tsqr);
+    EXPECT_NE(result.mode_routes[2], core::FactorRoute::Tsqr);
     EXPECT_EQ(result.tucker.core_dims(), (Dims{3, 5, 5}));
   });
 }

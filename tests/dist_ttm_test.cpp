@@ -189,17 +189,22 @@ TEST(DistTtm, NoCommunicationWhenPnIsOne) {
   EXPECT_EQ(rt.total_stats().messages_sent, 0u);
 }
 
-TEST(DistTtm, TimersRecordPerMode) {
+TEST(DistTtm, SpanCarriesItsMode) {
+  if (!obs::kTraceCompiled) GTEST_SKIP() << "built with PTUCKER_OBS=OFF";
+  obs::TraceSession::start();
   run_ranks(2, [](mps::Comm& comm) {
     auto grid = dist::make_grid(comm, {2, 1});
     DistTensor x(grid, Dims{6, 5});
     fill_test_tensor(x, 2);
-    util::KernelTimers timers;
     const Matrix m = Matrix::randn(2, 5, 3);
-    (void)dist::ttm(x, m, 1, TtmAlgo::Auto, &timers);
-    EXPECT_GT(timers.get("TTM", 1), 0.0);
-    EXPECT_EQ(timers.get("TTM", 0), 0.0);
+    (void)dist::ttm(x, m, 1, TtmAlgo::Auto);
   });
+  obs::TraceSession::stop();
+  const std::vector<obs::TraceEvent> events = obs::TraceSession::events();
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_EQ(testing::count_spans(events, "TTM", r, 1), 1u) << "rank " << r;
+    EXPECT_EQ(testing::count_spans(events, "TTM", r, 0), 0u) << "rank " << r;
+  }
 }
 
 TEST(DistTtm, FourWayTensorAllModes) {

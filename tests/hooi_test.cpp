@@ -5,6 +5,7 @@
 #include "core/reconstruct.hpp"
 #include "data/synthetic.hpp"
 #include "dist/grid.hpp"
+#include "obs/trace.hpp"
 #include "test_utils.hpp"
 
 namespace ptucker {
@@ -132,6 +133,42 @@ TEST(Hooi, GridIndependenceOfFinalError) {
     errors.push_back(err);
   }
   EXPECT_NEAR(errors[0], errors[1], 1e-7);
+}
+
+TEST(Hooi, SweepsRecordGramEvecsAndTtmSpans) {
+  if (!obs::kTraceCompiled) GTEST_SKIP() << "built with PTUCKER_OBS=OFF";
+  int sweeps = 0;
+  obs::TraceSession::start();
+  run_ranks(4, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {2, 2, 1});
+    DistTensor x(grid, Dims{9, 8, 7});
+    x.fill_global(testing::splitmix_field(37));
+    SthosvdOptions init;
+    init.fixed_ranks = {3, 3, 3};
+    HooiOptions opts;
+    opts.max_sweeps = 2;
+    opts.improvement_tol = 0.0;  // run all sweeps
+    const auto result = core::hooi(x, init, opts);
+    if (comm.rank() == 0) sweeps = result.sweeps;
+  });
+  obs::TraceSession::stop();
+  ASSERT_EQ(sweeps, 2);
+  const std::vector<obs::TraceEvent> events = obs::TraceSession::events();
+  for (int r = 0; r < 4; ++r) {
+    for (int n = 0; n < 3; ++n) {
+      // One factor per mode from the ST-HOSVD initialization, then one
+      // per mode per sweep.
+      for (const char* name : {"Gram", "Evecs"}) {
+        EXPECT_EQ(testing::count_spans(events, name, r, n),
+                  static_cast<std::size_t>(1 + sweeps))
+            << name << " on rank " << r << ", mode " << n;
+      }
+    }
+  }
+  // Per rank: 3 truncating TTMs in the initialization; per sweep, a
+  // 2-mode multi-TTM for each of the 3 modes plus the core TTM.
+  EXPECT_EQ(testing::count_spans(events, "TTM"),
+            static_cast<std::size_t>(4 * (3 + sweeps * (3 * 2 + 1))));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "data/normalize.hpp"
 #include "dist/grid.hpp"
 #include "obs/registry.hpp"
+#include "obs/trace.hpp"
 #include "pario/archive_io.hpp"
 #include "serve/query_server.hpp"
 #include "test_utils.hpp"
@@ -382,36 +383,72 @@ TEST(Serve, TracedQueryReportsConsistentBreakdown) {
   const serve::Request req{0, 1, 5, {{1, 5}, {0, 4}, {1, 3}}};
   const Tensor want = server.subtensor(req);  // loads both covering entries
 
-  serve::QueryTrace warm;
-  const Tensor got = server.subtensor_traced(req, warm);
-  ASSERT_EQ(got.dims(), want.dims());
-  EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                        got.size() * sizeof(double)),
-            0)
-      << "tracing changed the answer";
-  EXPECT_EQ(warm.entries_touched, 2u);
-  EXPECT_EQ(warm.cache_hits + warm.cache_misses, warm.entries_touched);
-  EXPECT_EQ(warm.cache_hits, 2u);  // all panels resident after the warmup
-  EXPECT_EQ(warm.bytes_loaded, 0u);
-  EXPECT_EQ(warm.load_us, 0u);  // the loader never ran
-  // Stage timers are disjoint sub-intervals of the query, so (with floor
-  // rounding) their sum cannot exceed the total.
-  EXPECT_LE(warm.route_us + warm.load_us + warm.reconstruct_us +
-                warm.denormalize_us + warm.stitch_us,
-            warm.total_us);
+  // One traced query: its answer, its registry deltas and its spans.
+  struct Observed {
+    Tensor answer;
+    std::uint64_t hits = 0, misses = 0, read_bytes = 0;
+    std::vector<obs::TraceEvent> events;
+  };
+  const auto observe = [&](const serve::QueryServer& s) {
+    const auto counter = [](const char* name) {
+      return obs::registry().counter(name).value();
+    };
+    const std::uint64_t hits0 = counter("serve.cache.hits");
+    const std::uint64_t misses0 = counter("serve.cache.misses");
+    const std::uint64_t bytes0 = counter("pario.read_bytes");
+    obs::TraceSession::start();
+    Observed o;
+    o.answer = s.subtensor(req);
+    obs::TraceSession::stop();
+    o.hits = counter("serve.cache.hits") - hits0;
+    o.misses = counter("serve.cache.misses") - misses0;
+    o.read_bytes = counter("pario.read_bytes") - bytes0;
+    o.events = obs::TraceSession::events();
+    return o;
+  };
+  const auto same_answer = [&](const Tensor& got) {
+    return got.dims() == want.dims() &&
+           std::memcmp(got.data(), want.data(),
+                       got.size() * sizeof(double)) == 0;
+  };
 
-  // A fresh server sees the same query cold: every entry is a miss and the
-  // loaded blob bytes are accounted.
+  const Observed warm = observe(server);
+  // A fresh server sees the same query cold.
   serve::QueryServer cold_server({path}, opts);
-  serve::QueryTrace cold;
-  const Tensor cold_got = cold_server.subtensor_traced(req, cold);
-  EXPECT_EQ(std::memcmp(cold_got.data(), want.data(),
-                        cold_got.size() * sizeof(double)),
-            0);
-  EXPECT_EQ(cold.cache_misses, 2u);
-  EXPECT_EQ(cold.cache_hits, 0u);
-  EXPECT_GT(cold.bytes_loaded, 0u);
+  const Observed cold = observe(cold_server);
+  EXPECT_TRUE(same_answer(warm.answer)) << "tracing changed the answer";
+  EXPECT_TRUE(same_answer(cold.answer));
   std::filesystem::remove(path);
+  if (!obs::kEnabled) GTEST_SKIP() << "built with PTUCKER_OBS=OFF";
+
+  // All panels are resident after the warmup: the loader never ran.
+  EXPECT_EQ(warm.hits, 2u);
+  EXPECT_EQ(warm.misses, 0u);
+  EXPECT_EQ(warm.read_bytes, 0u);
+  EXPECT_EQ(testing::count_spans(warm.events, "serve.entry"), 2u);
+  EXPECT_EQ(testing::count_spans(warm.events, "serve.load"), 0u);
+  // Cold: every entry is a miss and the loaded blob bytes are accounted.
+  EXPECT_EQ(cold.misses, 2u);
+  EXPECT_EQ(cold.hits, 0u);
+  EXPECT_GT(cold.read_bytes, 0u);
+
+  // Stage spans are disjoint sub-intervals of the query span.
+  for (const Observed* o : {&warm, &cold}) {
+    ASSERT_EQ(testing::count_spans(o->events, "serve.query"), 1u);
+    std::uint64_t stages_ns = 0;
+    std::uint64_t query_ns = 0;
+    for (const obs::TraceEvent& e : o->events) {
+      const std::string_view name = e.name;
+      if (name == "serve.query") {
+        query_ns = e.dur_ns;
+      } else if (name == "serve.route" || name == "serve.load" ||
+                 name == "serve.reconstruct" ||
+                 name == "serve.denormalize" || name == "serve.stitch") {
+        stages_ns += e.dur_ns;
+      }
+    }
+    EXPECT_LE(stages_ns, query_ns);
+  }
 }
 
 TEST(Serve, StatsReportExposesTheWholeStack) {

@@ -5,6 +5,7 @@
 #include "core/st_hosvd.hpp"
 #include "data/synthetic.hpp"
 #include "dist/grid.hpp"
+#include "obs/trace.hpp"
 #include "test_utils.hpp"
 
 namespace ptucker {
@@ -229,6 +230,56 @@ TEST(Sthosvd, FourWayTensor) {
     const DistTensor xt = core::reconstruct(result.tucker);
     EXPECT_LT(core::normalized_error(x, xt), 1e-6);
   });
+}
+
+// --- Fig. 8 attribution: the kernels emit their own spans ------------------
+
+/// Spans of one traced ST-HOSVD of a 9x8x7 tensor on a 2x2x1 grid.
+std::vector<obs::TraceEvent> traced_sthosvd(core::FactorMethod method) {
+  obs::TraceSession::start();
+  run_ranks(4, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {2, 2, 1});
+    DistTensor x(grid, Dims{9, 8, 7});
+    x.fill_global(testing::splitmix_field(31));
+    SthosvdOptions opts;
+    opts.epsilon = 0.3;
+    opts.factor_method = method;
+    (void)core::st_hosvd(x, opts);
+  });
+  obs::TraceSession::stop();
+  EXPECT_EQ(obs::TraceSession::dropped(), 0u);
+  return obs::TraceSession::events();
+}
+
+TEST(SthosvdSpans, GramRouteRecordsOneKernelSpanPerRankAndMode) {
+  if (!obs::kTraceCompiled) GTEST_SKIP() << "built with PTUCKER_OBS=OFF";
+  const std::vector<obs::TraceEvent> events =
+      traced_sthosvd(core::FactorMethod::GramEig);
+  for (const char* name : {"st_hosvd.mode", "Gram", "Evecs", "TTM"}) {
+    for (int r = 0; r < 4; ++r) {
+      for (int n = 0; n < 3; ++n) {
+        EXPECT_EQ(testing::count_spans(events, name, r, n), 1u)
+            << name << " on rank " << r << ", mode " << n;
+      }
+    }
+    // Nothing outside those (rank, mode) pairs: each span is set once.
+    EXPECT_EQ(testing::count_spans(events, name), 12u) << name;
+  }
+}
+
+TEST(SthosvdSpans, TsqrRouteRecordsTsqrAndEvecsButNoGram) {
+  if (!obs::kTraceCompiled) GTEST_SKIP() << "built with PTUCKER_OBS=OFF";
+  const std::vector<obs::TraceEvent> events =
+      traced_sthosvd(core::FactorMethod::TsqrSvd);
+  EXPECT_EQ(testing::count_spans(events, "Gram"), 0u);
+  for (const char* name : {"TSQR", "Evecs", "TTM"}) {
+    for (int r = 0; r < 4; ++r) {
+      for (int n = 0; n < 3; ++n) {
+        EXPECT_EQ(testing::count_spans(events, name, r, n), 1u)
+            << name << " on rank " << r << ", mode " << n;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,14 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mps/runtime.hpp"
+#include "obs/trace.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -36,6 +39,25 @@ inline void run_ranks(int p, const std::function<void(mps::Comm&)>& body) {
   mps::Runtime rt(p);
   rt.set_recv_timeout_ms(30000);
   rt.run(body);
+}
+
+/// Number of spans in \p events named \p name, on any rank.
+inline std::size_t count_spans(const std::vector<obs::TraceEvent>& events,
+                               std::string_view name) {
+  return static_cast<std::size_t>(std::count_if(
+      events.begin(), events.end(),
+      [&](const obs::TraceEvent& e) { return name == e.name; }));
+}
+
+/// Number of spans in \p events named \p name recorded on mps rank \p rank
+/// with argument \p arg (the tensor mode, for the Fig. 8 kernel spans).
+inline std::size_t count_spans(const std::vector<obs::TraceEvent>& events,
+                               std::string_view name, int rank,
+                               std::int64_t arg) {
+  return static_cast<std::size_t>(std::count_if(
+      events.begin(), events.end(), [&](const obs::TraceEvent& e) {
+        return name == e.name && e.rank == rank && e.arg == arg;
+      }));
 }
 
 /// Max |a - b| over two equal-sized buffers.
