@@ -26,18 +26,14 @@ using namespace ptucker;
 
 namespace {
 
-double time_local_ttm(const tensor::Tensor& y, const tensor::Matrix& m,
-                      int mode, tensor::LocalKernelPath path, int reps,
-                      tensor::Tensor& out) {
-  tensor::set_local_kernel_path(path);
-  tensor::local_ttm_into(y, m, mode, out);  // warm-up + result capture
+/// Seconds per call of \p ttm(out), after one warm-up call that also
+/// leaves the result in \p out.
+template <class Ttm>
+double time_local_ttm(Ttm&& ttm, int reps, tensor::Tensor& out) {
+  ttm(out);
   util::Timer timer;
-  for (int rep = 0; rep < reps; ++rep) {
-    tensor::local_ttm_into(y, m, mode, out);
-  }
-  const double t = timer.seconds() / reps;
-  tensor::set_local_kernel_path(tensor::LocalKernelPath::Batched);
-  return t;
+  for (int rep = 0; rep < reps; ++rep) ttm(out);
+  return timer.seconds() / reps;
 }
 
 }  // namespace
@@ -81,9 +77,13 @@ int main(int argc, char** argv) {
       tensor::Tensor z_slice(zdims);
       tensor::Tensor z_batch(zdims);
       const double t_slice = time_local_ttm(
-          y, m, mode, tensor::LocalKernelPath::PerSlice, reps, z_slice);
+          [&](tensor::Tensor& z) {
+            bench::per_slice_ttm_into(y, m, mode, z);
+          },
+          reps, z_slice);
       const double t_batch = time_local_ttm(
-          y, m, mode, tensor::LocalKernelPath::Batched, reps, z_batch);
+          [&](tensor::Tensor& z) { tensor::local_ttm_into(y, m, mode, z); },
+          reps, z_batch);
       if (smoke) {
         for (std::size_t i = 0; i < z_slice.size(); ++i) {
           PT_CHECK(z_slice[i] == z_batch[i],

@@ -28,6 +28,36 @@ int RankSpans::critical_rank(std::string_view name) const {
   return best;
 }
 
+void per_slice_ttm_into(const tensor::Tensor& y, const tensor::Matrix& m,
+                        int mode, tensor::Tensor& z) {
+  const tensor::UnfoldShape s = tensor::unfold_shape(y.dims(), mode);
+  const std::size_t k = m.rows();
+  PT_REQUIRE(m.cols() == s.mid && z.size() == s.left * k * s.right,
+             "per_slice_ttm_into: shape mismatch");
+  for (std::size_t r = 0; r < s.right; ++r) {
+    blas::gemm(blas::Trans::No, blas::Trans::Yes, s.left, k, s.mid, 1.0,
+               y.data() + r * s.left * s.mid, s.left, m.data(), k, 0.0,
+               z.data() + r * s.left * k, s.left);
+  }
+}
+
+tensor::Matrix per_slice_gram(const tensor::Tensor& y, int mode) {
+  const tensor::UnfoldShape s = tensor::unfold_shape(y.dims(), mode);
+  tensor::Matrix gram(s.mid, s.mid);
+  if (s.left == 1) {
+    blas::syrk_full(blas::Trans::No, s.mid, s.right, 1.0, y.data(), s.mid,
+                    0.0, gram.data(), s.mid);
+    return gram;
+  }
+  for (std::size_t r = 0; r < s.right; ++r) {
+    // Block column r of the unfolding is B_r^T: S += B_r^T * B_r.
+    blas::syrk_full(blas::Trans::Yes, s.mid, s.left, 1.0,
+                    y.data() + r * s.left * s.mid, s.left, r == 0 ? 0.0 : 1.0,
+                    gram.data(), s.mid);
+  }
+  return gram;
+}
+
 double measure_core_gemm_flops() {
   const std::size_t n = 384;
   std::vector<double> a(n * n, 1.5);

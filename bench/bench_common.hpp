@@ -16,6 +16,8 @@
 
 #include "mps/runtime.hpp"
 #include "obs/trace.hpp"
+#include "tensor/matrix.hpp"
+#include "tensor/tensor.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -86,5 +88,20 @@ inline std::string span_cell(double seconds) {
 /// %-of-peak columns (paper reports % of the Ivy Bridge 19.2 GFLOPS core
 /// peak; we report % of measured single-core GEMM peak instead).
 double measure_core_gemm_flops();
+
+/// The paper's per-slice local-kernel policy ("multiple subroutine calls to
+/// respect the local layout"), the strawman the ablations time against the
+/// batched engine in tensor/local_kernels: one gemm per right-slice of the
+/// mode-n view, Z_r(left x K) = Y_r(left x mid) * M^T, in every mode
+/// (including left == 1, where each slice is a single row). Bit-identical
+/// to tensor::local_ttm_into. \p z must already have the output dims.
+void per_slice_ttm_into(const tensor::Tensor& y, const tensor::Matrix& m,
+                        int mode, tensor::Tensor& z);
+
+/// Per-slice Gram, S = sum_r B_r^T B_r as one syrk_full per right-slice
+/// (a single syrk_full when left == 1). Bit-identical to
+/// tensor::local_gram.
+[[nodiscard]] tensor::Matrix per_slice_gram(const tensor::Tensor& y,
+                                            int mode);
 
 }  // namespace ptucker::bench

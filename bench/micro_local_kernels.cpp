@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_common.hpp"
 #include "blas/blas.hpp"
 #include "lapack/lapack.hpp"
 #include "tensor/local_kernels.hpp"
@@ -57,23 +58,25 @@ BENCHMARK(BM_SyrkFullVsLower)
     ->Args({256, 1});
 
 /// Args: (mode, path) with path 0 = batched single-invocation engine,
-/// 1 = the pre-batched per-right-slice gemm loop (ablation flag).
+/// 1 = the bench-local per-right-slice gemm loop.
 void BM_LocalTtm(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
-  const auto path = state.range(1) == 0
-                        ? ptucker::tensor::LocalKernelPath::Batched
-                        : ptucker::tensor::LocalKernelPath::PerSlice;
+  const bool per_slice = state.range(1) == 1;
   const Dims dims{48, 48, 48};
   const std::size_t k = 12;
   const Tensor y = Tensor::randn(dims, 5);
   const Matrix m = Matrix::randn(k, dims[static_cast<std::size_t>(mode)], 6);
-  ptucker::tensor::set_local_kernel_path(path);
+  Dims zdims = dims;
+  zdims[static_cast<std::size_t>(mode)] = k;
   for (auto _ : state) {
-    Tensor z = ptucker::tensor::local_ttm(y, m, mode);
+    Tensor z(zdims);
+    if (per_slice) {
+      ptucker::bench::per_slice_ttm_into(y, m, mode, z);
+    } else {
+      ptucker::tensor::local_ttm_into(y, m, mode, z);
+    }
     benchmark::DoNotOptimize(z.data());
   }
-  ptucker::tensor::set_local_kernel_path(
-      ptucker::tensor::LocalKernelPath::Batched);
   state.counters["GFLOP/s"] = benchmark::Counter(
       2.0 * static_cast<double>(ptucker::tensor::prod(dims)) * k *
           state.iterations() / 1e9,
@@ -90,18 +93,14 @@ BENCHMARK(BM_LocalTtm)
 /// Args: (mode, path) as in BM_LocalTtm.
 void BM_LocalGram(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
-  const auto path = state.range(1) == 0
-                        ? ptucker::tensor::LocalKernelPath::Batched
-                        : ptucker::tensor::LocalKernelPath::PerSlice;
+  const bool per_slice = state.range(1) == 1;
   const Dims dims{48, 48, 48};
   const Tensor y = Tensor::randn(dims, 7);
-  ptucker::tensor::set_local_kernel_path(path);
   for (auto _ : state) {
-    Matrix s = ptucker::tensor::local_gram(y, mode);
+    Matrix s = per_slice ? ptucker::bench::per_slice_gram(y, mode)
+                         : ptucker::tensor::local_gram(y, mode);
     benchmark::DoNotOptimize(s.data());
   }
-  ptucker::tensor::set_local_kernel_path(
-      ptucker::tensor::LocalKernelPath::Batched);
   state.counters["GFLOP/s"] = benchmark::Counter(
       2.0 * static_cast<double>(dims[static_cast<std::size_t>(mode)]) *
           static_cast<double>(ptucker::tensor::prod(dims)) *

@@ -1,10 +1,10 @@
 /// \file tensor_compress_tool.cpp
 /// \brief File-to-file compression utility: reads a dense tensor file
 /// ("PTT1" or chunked "PTB1"), compresses it in parallel, and writes the
-/// compressed Tucker model (parallel "PTZ1" by default, legacy "PTKR" on
-/// request). The archive-side half of the paper's storage/transfer
-/// workflow. Input and output move through src/pario/: every rank reads
-/// and writes only its own block — nothing funnels through rank 0.
+/// compressed Tucker model as a parallel "PTZ1" container. The
+/// archive-side half of the paper's storage/transfer workflow. Input and
+/// output move through src/pario/: every rank reads and writes only its
+/// own block — nothing funnels through rank 0.
 ///
 ///   # generate a demo input, compress at 1e-3, inspect sizes
 ///   ./tensor_compress_tool --demo demo.ptt
@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
                        "compress a tensor file into a Tucker model file");
   args.add_string("input", "", "input tensor file (PTT1 or PTB1 format)");
   args.add_string("output", "", "output model file (default: input + .ptz)");
-  args.add_string("format", "ptz1", "model container: ptz1 or ptkr");
   args.add_string("demo", "", "write a demo low-rank tensor here and exit");
   args.add_double("eps", 1e-3, "max normalized RMS error");
   args.add_int("ranks", 8, "number of (thread) ranks");
@@ -52,16 +51,8 @@ int main(int argc, char** argv) {
 
   const std::string input = args.get_string("input");
   PT_REQUIRE(!input.empty(), "--input is required (or use --demo)");
-  const std::string format_name = args.get_string("format");
-  PT_REQUIRE(format_name == "ptz1" || format_name == "ptkr",
-             "--format must be ptz1 or ptkr");
-  const core::ModelFormat format = format_name == "ptkr"
-                                       ? core::ModelFormat::Ptkr
-                                       : core::ModelFormat::Ptz1;
   std::string output = args.get_string("output");
-  if (output.empty()) {
-    output = input + (format == core::ModelFormat::Ptkr ? ".ptkr" : ".ptz");
-  }
+  if (output.empty()) output = input + ".ptz";
   const int p = static_cast<int>(args.get_int("ranks"));
   const double eps = args.get_double("eps");
 
@@ -80,13 +71,13 @@ int main(int argc, char** argv) {
     opts.epsilon = eps;
     const auto result = core::st_hosvd(x, opts);
     const double seconds = timer.seconds();
-    core::save_tucker(output, result.tucker, format);
+    core::save_tucker(output, result.tucker);
 
     if (comm.rank() == 0) {
       const auto in_bytes = std::filesystem::file_size(input);
       const auto out_bytes = std::filesystem::file_size(output);
-      std::printf("compressed %s -> %s (%s)\n", input.c_str(), output.c_str(),
-                  format_name.c_str());
+      std::printf("compressed %s -> %s (PTZ1)\n", input.c_str(),
+                  output.c_str());
       std::printf("  dims        :");
       for (std::size_t d : dims) std::printf(" %zu", d);
       std::printf("\n  reduced dims:");

@@ -1,6 +1,6 @@
 /// \file tensor_reconstruct_tool.cpp
 /// \brief File-to-file reconstruction utility: reads a compressed Tucker
-/// model ("PTZ1"/legacy "PTKR") or a time-partitioned model archive
+/// model ("PTZ1") or a time-partitioned model archive
 /// ("PTA1"), sniffed by magic, and writes a dense tensor file — the full
 /// reconstruction, an arbitrary per-mode index range ("a:b" slices), or,
 /// against an archive, an arbitrary global time range (--steps a:b) that
@@ -114,31 +114,21 @@ double error_vs_reference(const dist::DistTensor& slice,
   return ref_sq > 0.0 ? std::sqrt(diff_sq / ref_sq) : std::sqrt(diff_sq);
 }
 
-/// Single-model reconstruction (PTZ1 / PTKR): the pre-archive flow.
+/// Single-model reconstruction (PTZ1): the pre-archive flow.
 int run_single_model(mps::Comm& comm, const util::ArgParser& args,
                      const std::string& model_path,
                      const std::string& output) {
   const int p = comm.size();
-  // Grid order must match the model's order; PTZ1 headers are readable on
-  // every rank, the legacy PTKR peek happens on root + broadcast.
-  std::uint64_t order = 0;
-  if (pario::is_ptz1(model_path)) {
-    // Every rank peeks at the header itself: no broadcast needed.
-    const pario::File f = pario::File::open_read(model_path);
-    std::uint64_t fields[2] = {0, 0};  // version, order
-    f.read_at(4, fields, sizeof(fields));
-    PT_REQUIRE(fields[0] == 1 || fields[0] == 2,
-               "unsupported PTZ1 version in " << model_path);
-    order = fields[1];
-  } else {
-    if (comm.rank() == 0) {
-      const pario::File f = pario::File::open_read(model_path);
-      std::uint64_t fields[2] = {0, 0};
-      f.read_at(4, fields, sizeof(fields));
-      order = fields[1];
-    }
-    mps::broadcast(comm, std::span<std::uint64_t>(&order, 1), 0);
-  }
+  // Grid order must match the model's order. Every rank peeks at the PTZ1
+  // header itself: no broadcast needed.
+  PT_REQUIRE(pario::is_ptz1(model_path),
+             model_path << " is neither a PTZ1 model nor a PTA1 archive");
+  const pario::File f = pario::File::open_read(model_path);
+  std::uint64_t fields[2] = {0, 0};  // version, order
+  f.read_at(4, fields, sizeof(fields));
+  PT_REQUIRE(fields[0] == 1 || fields[0] == 2,
+             "unsupported PTZ1 version in " << model_path);
+  const std::uint64_t order = fields[1];
   PT_REQUIRE(order >= 1 && order <= 64,
              "implausible model order " << order << " in " << model_path);
   std::vector<int> shape(order, 1);
@@ -291,7 +281,7 @@ int main(int argc, char** argv) {
                        "reconstruct a tensor (or slice) from a Tucker model "
                        "or a PTA1 model archive");
   args.add_string("model", "",
-                  "input model file (PTZ1/PTKR) or archive (PTA1)");
+                  "input model file (PTZ1) or archive (PTA1)");
   args.add_string("output", "", "output tensor file");
   args.add_string("slices", "", "per-mode lo:hi ranges, e.g. 0:48,10:20,0:36"
                   " (spatial modes only when --steps is used)");

@@ -64,7 +64,7 @@ HooiResult hooi(const DistTensor& x, const SthosvdOptions& init_options,
         factor = dist::factor_via_tsqr(y, n, select);
       } else {
         const dist::GramColumns s = dist::gram(y, n, options.gram_algo);
-        factor = dist::eigenvectors(s, y.grid(), n, select, options.eig_algo);
+        factor = dist::eigenvectors(s, y.grid(), n, select);
       }
       factors[static_cast<std::size_t>(n)] = std::move(factor.u);
     }

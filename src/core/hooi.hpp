@@ -22,7 +22,6 @@ struct HooiOptions {
 
   dist::TtmAlgo ttm_algo = dist::TtmAlgo::Auto;
   dist::GramAlgo gram_algo = dist::GramAlgo::Auto;
-  dist::EigAlgo eig_algo = dist::EigAlgo::TridiagonalQL;
   /// Route for the per-mode factor update: Gram + eig (paper default),
   /// Gram-free TSQR, the randomized sketch, or the per-mode cost-model
   /// choice. Works on any grid.

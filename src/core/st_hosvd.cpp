@@ -117,7 +117,7 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
       factor = dist::factor_via_tsqr(y, n, select);
     } else if (route == FactorRoute::Gram) {
       const dist::GramColumns s = dist::gram(y, n, options.gram_algo);
-      factor = dist::eigenvectors(s, y.grid(), n, select, options.eig_algo);
+      factor = dist::eigenvectors(s, y.grid(), n, select);
     }
     result.mode_routes[static_cast<std::size_t>(n)] = route;
 

@@ -88,7 +88,6 @@ struct SthosvdOptions {
 
   dist::TtmAlgo ttm_algo = dist::TtmAlgo::Auto;
   dist::GramAlgo gram_algo = dist::GramAlgo::Auto;
-  dist::EigAlgo eig_algo = dist::EigAlgo::TridiagonalQL;
   FactorMethod factor_method = FactorMethod::GramEig;
   /// Knobs for FactorMethod::Randomized (seed, oversampling, power
   /// iterations) and the Auto gate for it.

@@ -1,110 +1,10 @@
 #include "core/tucker_io.hpp"
 
-#include <cstring>
-#include <fstream>
-
-#include "mps/collectives.hpp"
 #include "pario/model_io.hpp"
-#include "tensor/tensor_io.hpp"
 
 namespace ptucker::core {
 
-namespace {
-constexpr std::uint64_t kVersion = 1;
-
-void write_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-std::uint64_t read_u64(std::istream& is) {
-  std::uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  PT_REQUIRE(is.good(), "tucker_io: truncated stream");
-  return v;
-}
-
-void save_tucker_ptkr(const std::string& path, const TuckerTensor& model) {
-  const Tensor core = model.core.gather(0);
-  if (model.core.grid().comm().rank() != 0) return;
-  std::ofstream os(path, std::ios::binary);
-  PT_REQUIRE(os.good(), "tucker_io: cannot open " << path);
-  os.write("PTKR", 4);
-  write_u64(os, kVersion);
-  write_u64(os, static_cast<std::uint64_t>(model.order()));
-  tensor::write_tensor(os, core);
-  for (const Matrix& u : model.factors) tensor::write_matrix(os, u);
-  PT_REQUIRE(os.good(), "tucker_io: write failed");
-}
-
-TuckerTensor load_tucker_ptkr(const std::string& path,
-                              std::shared_ptr<mps::CartGrid> grid) {
-  const mps::Comm& comm = grid->comm();
-  Tensor core;
-  std::vector<Matrix> factors;
-  std::uint64_t order = 0;
-  if (comm.rank() == 0) {
-    std::ifstream is(path, std::ios::binary);
-    PT_REQUIRE(is.good(), "tucker_io: cannot open " << path);
-    char magic[4] = {};
-    is.read(magic, 4);
-    PT_REQUIRE(is.good() && std::memcmp(magic, "PTKR", 4) == 0,
-               "tucker_io: bad magic in " << path);
-    const std::uint64_t version = read_u64(is);
-    PT_REQUIRE(version == kVersion, "tucker_io: unsupported version");
-    order = read_u64(is);
-    core = tensor::read_tensor(is);
-    factors.reserve(order);
-    for (std::uint64_t n = 0; n < order; ++n) {
-      factors.push_back(tensor::read_matrix(is));
-    }
-  }
-  mps::broadcast(comm, std::span<std::uint64_t>(&order, 1), 0);
-
-  TuckerTensor model;
-  model.core = dist::DistTensor::scatter(grid, core, 0);
-
-  // Factor broadcast: one binomial broadcast of the packed shapes, one of
-  // the concatenated payloads — 2 broadcasts total instead of 2 per mode.
-  std::vector<std::uint64_t> shapes(2 * order, 0);
-  if (comm.rank() == 0) {
-    for (std::uint64_t n = 0; n < order; ++n) {
-      shapes[2 * n] = factors[n].rows();
-      shapes[2 * n + 1] = factors[n].cols();
-    }
-  }
-  mps::broadcast(comm, std::span<std::uint64_t>(shapes), 0);
-  std::size_t total = 0;
-  for (std::uint64_t n = 0; n < order; ++n) {
-    total += static_cast<std::size_t>(shapes[2 * n] * shapes[2 * n + 1]);
-  }
-  std::vector<double> packed(total);
-  if (comm.rank() == 0) {
-    std::size_t pos = 0;
-    for (std::uint64_t n = 0; n < order; ++n) {
-      std::memcpy(packed.data() + pos, factors[n].data(),
-                  factors[n].size() * sizeof(double));
-      pos += factors[n].size();
-    }
-  }
-  mps::broadcast(comm, std::span<double>(packed), 0);
-  model.factors.resize(order);
-  std::size_t pos = 0;
-  for (std::uint64_t n = 0; n < order; ++n) {
-    Matrix u(shapes[2 * n], shapes[2 * n + 1]);
-    std::memcpy(u.data(), packed.data() + pos, u.size() * sizeof(double));
-    pos += u.size();
-    model.factors[n] = std::move(u);
-  }
-  return model;
-}
-}  // namespace
-
-void save_tucker(const std::string& path, const TuckerTensor& model,
-                 ModelFormat format) {
-  if (format == ModelFormat::Ptkr) {
-    save_tucker_ptkr(path, model);
-    return;
-  }
+void save_tucker(const std::string& path, const TuckerTensor& model) {
   pario::write_model(path, model.core,
                      std::span<const Matrix>(model.factors));
 }
@@ -112,32 +12,17 @@ void save_tucker(const std::string& path, const TuckerTensor& model,
 TuckerTensor load_tucker(const std::string& path,
                          std::shared_ptr<mps::CartGrid> grid) {
   PT_REQUIRE(grid != nullptr, "load_tucker: null grid");
-  // Sniffing is a local pread, so every rank dispatches without any
-  // communication; both loaders validate the rest of the file themselves.
-  if (pario::is_ptz1(path)) {
-    pario::ModelData data = pario::read_model(path, std::move(grid));
-    TuckerTensor model;
-    model.core = std::move(data.core);
-    model.factors = std::move(data.factors);
-    return model;
-  }
-  return load_tucker_ptkr(path, std::move(grid));
+  pario::ModelData data = pario::read_model(path, std::move(grid));
+  TuckerTensor model;
+  model.core = std::move(data.core);
+  model.factors = std::move(data.factors);
+  return model;
 }
 
-std::size_t serialized_bytes(const TuckerTensor& model, ModelFormat format) {
-  if (format == ModelFormat::Ptz1) {
-    return pario::ptz1_file_bytes(model.core.global_dims(),
-                                  model.core.grid().shape(),
-                                  std::span<const Matrix>(model.factors));
-  }
-  // PTKR: header + core header/payload + factor headers/payloads.
-  std::size_t bytes = 4 + 2 * sizeof(std::uint64_t);
-  bytes += 4 + sizeof(std::uint64_t) * (1 + model.core.global_dims().size()) +
-           sizeof(double) * tensor::prod(model.core.global_dims());
-  for (const Matrix& u : model.factors) {
-    bytes += 4 + 2 * sizeof(std::uint64_t) + sizeof(double) * u.size();
-  }
-  return bytes;
+std::size_t serialized_bytes(const TuckerTensor& model) {
+  return pario::ptz1_file_bytes(model.core.global_dims(),
+                                model.core.grid().shape(),
+                                std::span<const Matrix>(model.factors));
 }
 
 }  // namespace ptucker::core

@@ -2,15 +2,10 @@
 /// \file tucker_io.hpp
 /// \brief Persistence of compressed Tucker models.
 ///
-/// Two container formats (byte layouts in docs/FORMATS.md):
-///  - PTZ1 (default): the parallel container from src/pario/ — the core is
-///    written and read block-parallel (every rank touches only its own
-///    bytes), factors ride in the header. Nothing funnels through rank 0.
-///  - PTKR (legacy): rank 0 gathers the core and writes everything; load
-///    scatters the core and broadcasts the factors. Kept for old archives
-///    and as the ablation baseline.
-///
-/// load_tucker sniffs the magic, so both formats load transparently.
+/// Models are stored in the PTZ1 parallel container from src/pario/ (byte
+/// layout in docs/FORMATS.md): the core is written and read block-parallel
+/// (every rank touches only its own bytes), factors ride in the header.
+/// Nothing funnels through rank 0.
 
 #include <string>
 
@@ -18,24 +13,16 @@
 
 namespace ptucker::core {
 
-/// On-disk container for save_tucker / serialized_bytes.
-enum class ModelFormat {
-  Ptz1,  ///< parallel chunked container (default)
-  Ptkr,  ///< legacy rank-0 stream format
-};
+/// Collective: write the model as a PTZ1 file, the core block-parallel.
+void save_tucker(const std::string& path, const TuckerTensor& model);
 
-/// Collective: write the model file. PTZ1 writes the core block-parallel;
-/// PTKR gathers it to rank 0 first.
-void save_tucker(const std::string& path, const TuckerTensor& model,
-                 ModelFormat format = ModelFormat::Ptz1);
-
-/// Collective: load a model file of either format onto \p grid.
+/// Collective: load a PTZ1 model file onto \p grid (any grid of matching
+/// order). Any other file throws InvalidArgument.
 [[nodiscard]] TuckerTensor load_tucker(const std::string& path,
                                        std::shared_ptr<mps::CartGrid> grid);
 
 /// Size in bytes of the serialized model (for compression reporting). The
 /// PTZ1 size depends on the grid of \p model's core (offset-table length).
-[[nodiscard]] std::size_t serialized_bytes(
-    const TuckerTensor& model, ModelFormat format = ModelFormat::Ptz1);
+[[nodiscard]] std::size_t serialized_bytes(const TuckerTensor& model);
 
 }  // namespace ptucker::core

@@ -90,19 +90,8 @@ void denormalize_species_range(dist::DistTensor& x,
                                std::size_t species_lo) {
   PT_REQUIRE(stats.species_mode >= 0 && stats.species_mode < x.order(),
              "denormalize: species mode out of range");
-  const util::Range my_range = x.mode_range(stats.species_mode);
-  PT_REQUIRE(species_lo + my_range.hi <= stats.mean.size(),
-             "denormalize: species range [" << species_lo + my_range.lo
-                                            << ", " << species_lo + my_range.hi
-                                            << ") outside the stats ("
-                                            << stats.mean.size()
-                                            << " species)");
-  for_each_species(x.local(), stats.species_mode,
-                   [&](std::size_t s, double& v) {
-                     const std::size_t g = species_lo + my_range.lo + s;
-                     if (stats.stdev[g] >= kStdFloor) v *= stats.stdev[g];
-                     v += stats.mean[g];
-                   });
+  denormalize_species_range_seq(
+      x.local(), stats, species_lo + x.mode_range(stats.species_mode).lo);
 }
 
 NormalizationStats normalize_species_seq(tensor::Tensor& x, int species_mode) {
@@ -131,11 +120,6 @@ NormalizationStats normalize_species_seq(tensor::Tensor& x, int species_mode) {
     if (stats.stdev[s] >= kStdFloor) v /= stats.stdev[s];
   });
   return stats;
-}
-
-void denormalize_species_seq(tensor::Tensor& x,
-                             const NormalizationStats& stats) {
-  denormalize_species_range_seq(x, stats, 0);
 }
 
 void denormalize_species_range_seq(tensor::Tensor& x,

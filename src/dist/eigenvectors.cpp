@@ -53,7 +53,7 @@ void canonicalize_columns(tensor::Matrix& u) {
 }  // namespace detail
 
 FactorResult eigenvectors(const GramColumns& s, const mps::CartGrid& grid,
-                          int mode, const RankSelection& select, EigAlgo algo) {
+                          int mode, const RankSelection& select) {
   PT_REQUIRE(mode >= 0 && mode < grid.order(),
              "eigenvectors: mode out of range");
   obs::Span span("Evecs", mode);
@@ -79,9 +79,7 @@ FactorResult eigenvectors(const GramColumns& s, const mps::CartGrid& grid,
 
   // Redundant eigendecomposition on every rank (deterministic solver +
   // identical input => identical factors everywhere).
-  const la::SymEig eig = algo == EigAlgo::Jacobi
-                             ? la::eig_sym_jacobi(full.data(), jn, jn)
-                             : la::eig_sym(full.data(), jn, jn);
+  const la::SymEig eig = la::eig_sym(full.data(), jn, jn);
 
   FactorResult result;
   result.eigenvalues = eig.values;

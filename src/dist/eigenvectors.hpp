@@ -16,11 +16,6 @@
 
 namespace ptucker::dist {
 
-enum class EigAlgo {
-  TridiagonalQL,  ///< Householder tridiagonalization + QL (dsyevx stand-in)
-  Jacobi,         ///< cyclic Jacobi (cross-check oracle)
-};
-
 /// How the factor rank is chosen from the Gram spectrum.
 struct RankSelection {
   /// Keep exactly \p r columns (clamped to the mode extent).
@@ -66,8 +61,7 @@ struct FactorResult {
 /// Every rank returns bitwise-identical results.
 [[nodiscard]] FactorResult eigenvectors(const GramColumns& s,
                                         const mps::CartGrid& grid, int mode,
-                                        const RankSelection& select,
-                                        EigAlgo algo = EigAlgo::TridiagonalQL);
+                                        const RankSelection& select);
 
 namespace detail {
 /// Flip each column's sign so its largest-magnitude entry is positive (the

@@ -24,8 +24,7 @@
 /// core block. On load every rank reads the header and factor bytes itself
 /// and preads its core block — zero messages on the whole load path, and
 /// the offset table supports loading onto a different grid exactly as PTB1
-/// does. This replaces the PTKR flow that gathered the core to rank 0 and
-/// broadcast every factor.
+/// does. Nothing is gathered to rank 0 or broadcast.
 ///
 /// pario sits below core in the layer map, so this interface speaks
 /// DistTensor + Matrix spans; core/tucker_io adapts it to TuckerTensor.

@@ -1,15 +1,12 @@
 #include "tensor/local_kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "blas/blas.hpp"
 
 namespace ptucker::tensor {
 
 namespace {
-
-std::atomic<LocalKernelPath> g_path{LocalKernelPath::Batched};
 
 /// Output dims of a mode-n TTM.
 Dims ttm_dims(const Tensor& y, const Matrix& m, int mode) {
@@ -23,14 +20,6 @@ Dims ttm_dims(const Tensor& y, const Matrix& m, int mode) {
 }
 
 }  // namespace
-
-void set_local_kernel_path(LocalKernelPath path) {
-  g_path.store(path, std::memory_order_relaxed);
-}
-
-LocalKernelPath local_kernel_path() {
-  return g_path.load(std::memory_order_relaxed);
-}
 
 void local_ttm_into(const Tensor& y, const Matrix& m, int mode, Tensor& z) {
   const Dims expected = ttm_dims(y, m, mode);
@@ -47,24 +36,6 @@ void local_ttm_into(const Tensor& y, const Matrix& m, int mode, Tensor& z) {
 
   const std::size_t in_slice = in.left * in.mid;
   const std::size_t out_slice = in.left * k;
-
-  if (local_kernel_path() == LocalKernelPath::PerSlice) {
-    // Ablation baseline: one gemm per right-slice,
-    // Z_r(left x k) = Y_r(left x mid) * M^T — the slice-loop policy applied
-    // uniformly (thousands of tiny calls that re-pack M every iteration and
-    // never cross the per-call threading threshold). For left > 1 this is
-    // the pre-batched hot loop verbatim; for left == 1 the pre-batched code
-    // already short-circuited to a single gemm, so there this measures the
-    // naive policy, not the shipped baseline. Bit-identical to the batched
-    // path either way: the contraction dimension and its KC blocking are
-    // the same.
-    for (std::size_t r = 0; r < in.right; ++r) {
-      blas::gemm(blas::Trans::No, blas::Trans::Yes, in.left, k, in.mid, 1.0,
-                 y.data() + r * in_slice, in.left, m.data(), k, 0.0,
-                 z.data() + r * out_slice, in.left);
-    }
-    return;
-  }
 
   if (in.left == 1) {
     // Y viewed as (mid x right) column-major: single gemm
@@ -98,15 +69,6 @@ Matrix local_gram(const Tensor& y, int mode) {
     return gram;
   }
   const std::size_t slice = s.left * s.mid;
-  if (local_kernel_path() == LocalKernelPath::PerSlice) {
-    for (std::size_t r = 0; r < s.right; ++r) {
-      // Block column r of the unfolding is B_r^T: S += B_r^T * B_r.
-      blas::syrk_full(blas::Trans::Yes, s.mid, s.left, 1.0,
-                      y.data() + r * slice, s.left, (r == 0) ? 0.0 : 1.0,
-                      gram.data(), s.mid);
-    }
-    return gram;
-  }
   // Single fused invocation: S = sum_r B_r^T B_r with the slice sum riding
   // inside the KC loop (stride_c == 0).
   blas::gemm_batch_strided(blas::Trans::Yes, blas::Trans::No, s.mid, s.mid,
@@ -123,13 +85,6 @@ Matrix local_gram_sym(const Tensor& y, int mode) {
   if (s.left == 1) {
     blas::syrk_lower(blas::Trans::No, s.mid, s.right, 1.0, y.data(), s.mid,
                      0.0, gram.data(), s.mid);
-  } else if (local_kernel_path() == LocalKernelPath::PerSlice) {
-    const std::size_t slice = s.left * s.mid;
-    for (std::size_t r = 0; r < s.right; ++r) {
-      blas::syrk_lower(blas::Trans::Yes, s.mid, s.left, 1.0,
-                       y.data() + r * slice, s.left, (r == 0) ? 0.0 : 1.0,
-                       gram.data(), s.mid);
-    }
   } else {
     blas::syrk_lower_batch_strided(blas::Trans::Yes, s.mid, s.left, 1.0,
                                    y.data(), s.left, s.left * s.mid, 0.0,
@@ -157,15 +112,6 @@ Matrix local_cross_gram(const Tensor& y, const Tensor& w, int mode) {
   }
   const std::size_t slice_y = sy.left * sy.mid;
   const std::size_t slice_w = sw.left * sw.mid;
-  if (local_kernel_path() == LocalKernelPath::PerSlice) {
-    for (std::size_t r = 0; r < sy.right; ++r) {
-      // C += By_r^T * Bw_r.
-      blas::gemm(blas::Trans::Yes, blas::Trans::No, sy.mid, sw.mid, sy.left,
-                 1.0, y.data() + r * slice_y, sy.left, w.data() + r * slice_w,
-                 sw.left, (r == 0) ? 0.0 : 1.0, c.data(), sy.mid);
-    }
-    return c;
-  }
   blas::gemm_batch_strided(blas::Trans::Yes, blas::Trans::No, sy.mid, sw.mid,
                            sy.left, 1.0, y.data(), sy.left, slice_y, w.data(),
                            sw.left, slice_w, 0.0, c.data(), sy.mid, 0,

@@ -12,32 +12,13 @@
 /// panels packed once, threading decided on aggregate flops — collapsing to
 /// one plain call when left == 1 (first mode(s)) or right == 1 (last mode).
 /// The paper's original "multiple subroutine calls to respect the local
-/// layout" per-slice loop is kept behind LocalKernelPath::PerSlice for the
-/// ablation benches; both paths produce bit-identical results.
+/// layout" per-slice loop produces bit-identical results; the ablation
+/// benches time it through their own bench-local loop.
 
 #include "tensor/matrix.hpp"
 #include "tensor/tensor.hpp"
 
 namespace ptucker::tensor {
-
-/// Which implementation the local TTM/Gram kernels use.
-enum class LocalKernelPath {
-  Batched,  ///< single batched kernel invocation per TTM/Gram (default)
-  /// One BLAS3 call per right-slice — the paper's "multiple subroutine
-  /// calls to respect the local layout" policy. For the Gram kernels this
-  /// is exactly the pre-batched implementation; for the TTM it is the
-  /// slice loop applied *uniformly*, including left == 1 modes where the
-  /// pre-batched code already collapsed to a single gemm (there it is the
-  /// naive slice-loop policy, not the shipped baseline — see
-  /// bench/ablate_ttm_paths).
-  PerSlice,
-};
-
-/// Global (atomic) switch, default Batched. The per-slice path exists for
-/// bench/ablate_ttm_paths and the determinism tests; results are
-/// bit-identical either way.
-void set_local_kernel_path(LocalKernelPath path);
-[[nodiscard]] LocalKernelPath local_kernel_path();
 
 /// Z = Y x_n M (TTM): Z(n) = M * Y(n) with M of size K x Jn.
 /// Note the multiplying matrix convention matches the algorithms:

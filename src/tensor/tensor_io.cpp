@@ -55,26 +55,6 @@ Tensor read_tensor(std::istream& is) {
   return t;
 }
 
-void write_matrix(std::ostream& os, const Matrix& m) {
-  write_magic(os, "PTM1");
-  write_u64(os, m.rows());
-  write_u64(os, m.cols());
-  os.write(reinterpret_cast<const char*>(m.data()),
-           static_cast<std::streamsize>(m.size() * sizeof(double)));
-  PT_REQUIRE(os.good(), "tensor_io: write failed");
-}
-
-Matrix read_matrix(std::istream& is) {
-  expect_magic(is, "PTM1");
-  const std::uint64_t rows = read_u64(is);
-  const std::uint64_t cols = read_u64(is);
-  Matrix m(rows, cols);
-  is.read(reinterpret_cast<char*>(m.data()),
-          static_cast<std::streamsize>(m.size() * sizeof(double)));
-  PT_REQUIRE(is.good(), "tensor_io: truncated matrix data");
-  return m;
-}
-
 void save_tensor(const std::string& path, const Tensor& t) {
   std::ofstream os(path, std::ios::binary);
   PT_REQUIRE(os.good(), "tensor_io: cannot open " << path);

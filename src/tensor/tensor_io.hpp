@@ -1,24 +1,19 @@
 #pragma once
 /// \file tensor_io.hpp
-/// \brief Binary (de)serialization of tensors and matrices.
+/// \brief Binary (de)serialization of dense tensors.
 ///
 /// Format (little-endian):
 ///   magic "PTT1" | u64 order | u64 dims[order] | f64 data[prod(dims)]
-/// for tensors, and "PTM1" | u64 rows | u64 cols | f64 data for matrices.
 
 #include <iosfwd>
 #include <string>
 
-#include "tensor/matrix.hpp"
 #include "tensor/tensor.hpp"
 
 namespace ptucker::tensor {
 
 void write_tensor(std::ostream& os, const Tensor& t);
 [[nodiscard]] Tensor read_tensor(std::istream& is);
-
-void write_matrix(std::ostream& os, const Matrix& m);
-[[nodiscard]] Matrix read_matrix(std::istream& is);
 
 void save_tensor(const std::string& path, const Tensor& t);
 [[nodiscard]] Tensor load_tensor(const std::string& path);

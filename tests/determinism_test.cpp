@@ -6,7 +6,6 @@
 #include "core/st_hosvd.hpp"
 #include "data/synthetic.hpp"
 #include "dist/grid.hpp"
-#include "tensor/local_kernels.hpp"
 #include "test_utils.hpp"
 
 namespace ptucker {
@@ -17,13 +16,12 @@ using tensor::Dims;
 using tensor::Tensor;
 using testing::run_ranks;
 
-/// One full ST-HOSVD under the given thread count and local-kernel path;
-/// returns the core and factors flattened for bitwise comparison. Sizes are
-/// chosen so the mode-0 Gram (2 * 48^2 * 2304 ≈ 10.6 MF) crosses the 4e6
-/// aggregate-flop threshold and the threaded engine actually engages.
-std::vector<double> sthosvd_bits(int threads, tensor::LocalKernelPath path) {
+/// One full ST-HOSVD under the given thread count; returns the core and
+/// factors flattened for bitwise comparison. Sizes are chosen so the mode-0
+/// Gram (2 * 48^2 * 2304 ≈ 10.6 MF) crosses the 4e6 aggregate-flop
+/// threshold and the threaded engine actually engages.
+std::vector<double> sthosvd_bits(int threads) {
   blas::set_gemm_threads(threads);
-  tensor::set_local_kernel_path(path);
   std::vector<double> bits;
   run_ranks(1, [&](mps::Comm& comm) {
     auto grid = dist::make_grid(comm, {1, 1, 1});
@@ -41,7 +39,6 @@ std::vector<double> sthosvd_bits(int threads, tensor::LocalKernelPath path) {
     }
   });
   blas::set_gemm_threads(1);
-  tensor::set_local_kernel_path(tensor::LocalKernelPath::Batched);
   return bits;
 }
 
@@ -49,9 +46,9 @@ TEST(Determinism, TuckerCoreBitIdenticalAcrossGemmThreads) {
   // Intra-kernel threading partitions tile *ownership*, never the
   // per-element accumulation order: the compressed model must be the same
   // to the last bit for any gemm_threads setting.
-  const auto t1 = sthosvd_bits(1, tensor::LocalKernelPath::Batched);
-  const auto t2 = sthosvd_bits(2, tensor::LocalKernelPath::Batched);
-  const auto t4 = sthosvd_bits(4, tensor::LocalKernelPath::Batched);
+  const auto t1 = sthosvd_bits(1);
+  const auto t2 = sthosvd_bits(2);
+  const auto t4 = sthosvd_bits(4);
   ASSERT_EQ(t1.size(), t2.size());
   ASSERT_EQ(t1.size(), t4.size());
   ASSERT_FALSE(t1.empty());
@@ -59,19 +56,6 @@ TEST(Determinism, TuckerCoreBitIdenticalAcrossGemmThreads) {
       << "threads=2 changed bits";
   EXPECT_EQ(testing::max_diff(t1.data(), t4.data(), t1.size()), 0.0)
       << "threads=4 changed bits";
-}
-
-TEST(Determinism, TuckerCoreBitIdenticalAcrossKernelPaths) {
-  // The batched engine clips fused KC slabs at slice boundaries so its
-  // floating-point grouping equals the per-slice loop's: end-to-end
-  // compression results agree bit for bit across the ablation flag.
-  const auto batched = sthosvd_bits(1, tensor::LocalKernelPath::Batched);
-  const auto per_slice = sthosvd_bits(1, tensor::LocalKernelPath::PerSlice);
-  ASSERT_EQ(batched.size(), per_slice.size());
-  ASSERT_FALSE(batched.empty());
-  EXPECT_EQ(testing::max_diff(batched.data(), per_slice.data(),
-                              batched.size()),
-            0.0);
 }
 
 /// ST-HOSVD through the randomized sketch route, flattened for bitwise

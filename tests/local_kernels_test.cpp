@@ -165,32 +165,25 @@ TEST(LocalKernels, TtmIntoReusesBuffer) {
 TEST_P(LocalKernels, BatchedAndPerSlicePathsBitIdentical) {
   // The batched engine clips KC slabs at slice boundaries precisely so the
   // per-element floating-point grouping matches the per-slice loop: the
-  // two paths must agree bit for bit, not just to tolerance.
+  // two must agree bit for bit, not just to tolerance.
   const auto& [dims, mode] = GetParam();
   const Tensor y = Tensor::randn(dims, 700 + static_cast<std::uint64_t>(mode));
   const Tensor w = Tensor::randn(dims, 800 + static_cast<std::uint64_t>(mode));
   const std::size_t jn = dims[static_cast<std::size_t>(mode)];
   const Matrix m = Matrix::randn(jn + 2, jn, 900);
 
-  tensor::set_local_kernel_path(tensor::LocalKernelPath::PerSlice);
-  const Tensor ttm_slice = tensor::local_ttm(y, m, mode);
-  const Matrix gram_slice = tensor::local_gram(y, mode);
-  const Matrix sym_slice = tensor::local_gram_sym(y, mode);
-  const Matrix cross_slice = tensor::local_cross_gram(y, w, mode);
-  tensor::set_local_kernel_path(tensor::LocalKernelPath::Batched);
-  const Tensor ttm_batch = tensor::local_ttm(y, m, mode);
-  const Matrix gram_batch = tensor::local_gram(y, mode);
-  const Matrix sym_batch = tensor::local_gram_sym(y, mode);
-  const Matrix cross_batch = tensor::local_cross_gram(y, w, mode);
-
-  EXPECT_EQ(testing::max_diff(ttm_slice, ttm_batch), 0.0);
-  EXPECT_EQ(testing::max_diff(gram_slice, gram_batch), 0.0);
-  EXPECT_EQ(testing::max_diff(sym_slice, sym_batch), 0.0);
-  EXPECT_EQ(testing::max_diff(cross_slice, cross_batch), 0.0);
-}
-
-TEST(LocalKernels, PathFlagDefaultsToBatched) {
-  EXPECT_EQ(tensor::local_kernel_path(), tensor::LocalKernelPath::Batched);
+  EXPECT_EQ(testing::max_diff(testing::per_slice_ttm(y, m, mode),
+                              tensor::local_ttm(y, m, mode)),
+            0.0);
+  EXPECT_EQ(testing::max_diff(testing::per_slice_gram(y, mode),
+                              tensor::local_gram(y, mode)),
+            0.0);
+  EXPECT_EQ(testing::max_diff(testing::per_slice_gram_sym(y, mode),
+                              tensor::local_gram_sym(y, mode)),
+            0.0);
+  EXPECT_EQ(testing::max_diff(testing::per_slice_cross_gram(y, w, mode),
+                              tensor::local_cross_gram(y, w, mode)),
+            0.0);
 }
 
 TEST(LocalKernels, RejectsDimensionMismatch) {

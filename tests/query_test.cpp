@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "core/query.hpp"
 #include "core/reconstruct.hpp"
 #include "core/seq/seq_tucker.hpp"
 #include "core/st_hosvd.hpp"
@@ -17,7 +16,6 @@
 namespace ptucker {
 namespace {
 
-using core::CompressedQuery;
 using core::TuckerTensor;
 using dist::DistTensor;
 using tensor::Dims;
@@ -32,19 +30,38 @@ TuckerTensor make_model(std::shared_ptr<mps::CartGrid> grid, const Dims& dims,
   return core::st_hosvd(x, opts).tucker;
 }
 
+/// One element as a 1-box: [i, i+1) in every mode.
+std::vector<util::Range> point_box(std::span<const std::size_t> index) {
+  std::vector<util::Range> box;
+  for (std::size_t i : index) box.push_back({i, i + 1});
+  return box;
+}
+
+/// Evaluate one element of the model (core gathered on the caller) through
+/// the sequential reconstruction engine.
+double element(const Tensor& model_core,
+               std::span<const tensor::Matrix> factors,
+               std::span<const std::size_t> index) {
+  const Tensor one =
+      core::reconstruct_range_local(model_core, factors, point_box(index));
+  EXPECT_EQ(one.size(), 1u);
+  return one[0];
+}
+
 TEST(Query, ElementMatchesReconstruction) {
   run_ranks(4, [](mps::Comm& comm) {
     auto grid = dist::make_grid(comm, {2, 2, 1});
     const Dims dims{9, 8, 7};
     const TuckerTensor model = make_model(grid, dims, Dims{3, 3, 2}, 3);
-    const CompressedQuery query(model);
+    const Tensor gathered = model.core.gather(0);
     const Tensor full = core::reconstruct(model).gather(0);
     if (comm.rank() == 0) {
       for (std::size_t i = 0; i < 9; i += 2) {
         for (std::size_t j = 0; j < 8; j += 3) {
           for (std::size_t k = 0; k < 7; k += 2) {
             const std::size_t idx[] = {i, j, k};
-            EXPECT_NEAR(query.element(idx), full.at(idx), 1e-11)
+            EXPECT_NEAR(element(gathered, model.factors, idx), full.at(idx),
+                        1e-11)
                 << "(" << i << "," << j << "," << k << ")";
           }
         }
@@ -53,34 +70,22 @@ TEST(Query, ElementMatchesReconstruction) {
   });
 }
 
-TEST(Query, EveryRankCanAnswerIdentically) {
-  // After construction the query is communication-free and replicated.
-  const int p = 4;
-  std::vector<double> answers(static_cast<std::size_t>(p));
-  run_ranks(p, [&](mps::Comm& comm) {
-    auto grid = dist::make_grid(comm, {2, 2});
-    const TuckerTensor model =
-        make_model(grid, Dims{10, 8}, Dims{3, 2}, 5);
-    const CompressedQuery query(model);
-    const std::size_t idx[] = {7, 3};
-    answers[static_cast<std::size_t>(comm.rank())] = query.element(idx);
-  });
-  for (int r = 1; r < p; ++r) {
-    EXPECT_EQ(answers[0], answers[static_cast<std::size_t>(r)]);
-  }
-}
-
 TEST(Query, FiberMatchesReconstructionColumn) {
   run_ranks(2, [](mps::Comm& comm) {
     auto grid = dist::make_grid(comm, {2, 1, 1});
     const Dims dims{8, 7, 6};
     const TuckerTensor model = make_model(grid, dims, Dims{3, 2, 2}, 7);
-    const CompressedQuery query(model);
+    const Tensor gathered = model.core.gather(0);
     const Tensor full = core::reconstruct(model).gather(0);
     if (comm.rank() == 0) {
       for (int mode = 0; mode < 3; ++mode) {
+        // A fiber is a 1-D box: the whole mode, one index elsewhere.
         const std::size_t idx[] = {2, 4, 1};
-        const auto fiber = query.fiber(mode, idx);
+        std::vector<util::Range> box = point_box(idx);
+        box[static_cast<std::size_t>(mode)] = {
+            0, dims[static_cast<std::size_t>(mode)]};
+        const Tensor fiber =
+            core::reconstruct_range_local(gathered, model.factors, box);
         ASSERT_EQ(fiber.size(), dims[static_cast<std::size_t>(mode)]);
         std::size_t probe[] = {2, 4, 1};
         for (std::size_t i = 0; i < fiber.size(); ++i) {
@@ -93,51 +98,47 @@ TEST(Query, FiberMatchesReconstructionColumn) {
   });
 }
 
-TEST(Query, LocalConstructorWorksWithoutCommunication) {
+TEST(Query, LaptopModelAnswersWithoutCommunication) {
+  // A model from the sequential compressor: no grid, no runtime.
   const Tensor x = data::make_low_rank_seq(Dims{8, 8, 8}, Dims{2, 2, 2}, 9);
   core::seq::SeqOptions opts;
   opts.epsilon = 1e-6;
   const auto result = core::seq::seq_st_hosvd(x, opts);
-  const CompressedQuery query(result.tucker.core, result.tucker.factors);
   const std::size_t idx[] = {3, 5, 2};
-  EXPECT_NEAR(query.element(idx), x.at(idx), 1e-8);
+  EXPECT_NEAR(element(result.tucker.core, result.tucker.factors, idx),
+              x.at(idx), 1e-8);
 }
 
-TEST(Query, RejectsOutOfRangeIndex) {
-  const Tensor x = data::make_low_rank_seq(Dims{6, 6}, Dims{2, 2}, 11);
-  core::seq::SeqOptions opts;
-  const auto result = core::seq::seq_st_hosvd(x, opts);
-  const CompressedQuery query(result.tucker.core, result.tucker.factors);
-  const std::size_t bad[] = {6, 0};
-  EXPECT_THROW((void)query.element(bad), InvalidArgument);
+/// Sequential model of a 6 x 5 tensor for the rejection cases.
+core::seq::SeqTucker small_model(std::uint64_t seed) {
+  const Tensor x = data::make_low_rank_seq(Dims{6, 5}, Dims{2, 2}, seed);
+  return core::seq::seq_st_hosvd(x, core::seq::SeqOptions{}).tucker;
 }
 
-TEST(Query, RejectsWrongIndexArity) {
-  const Tensor x = data::make_low_rank_seq(Dims{6, 6}, Dims{2, 2}, 13);
-  core::seq::SeqOptions opts;
-  const auto result = core::seq::seq_st_hosvd(x, opts);
-  const CompressedQuery query(result.tucker.core, result.tucker.factors);
-  const std::size_t one[] = {3};
-  const std::size_t three[] = {3, 3, 3};
-  EXPECT_THROW((void)query.element(one), InvalidArgument);
-  EXPECT_THROW((void)query.element(three), InvalidArgument);
-  EXPECT_THROW((void)query.fiber(0, one), InvalidArgument);
+Tensor eval(const core::seq::SeqTucker& m,
+            const std::vector<util::Range>& box) {
+  return core::reconstruct_range_local(m.core, m.factors, box);
 }
 
-TEST(Query, RejectsOutOfRangeFiberModeAndIndex) {
-  const Tensor x = data::make_low_rank_seq(Dims{6, 5}, Dims{2, 2}, 17);
-  core::seq::SeqOptions opts;
-  const auto result = core::seq::seq_st_hosvd(x, opts);
-  const CompressedQuery query(result.tucker.core, result.tucker.factors);
-  const std::size_t idx[] = {2, 2};
-  EXPECT_THROW((void)query.fiber(-1, idx), InvalidArgument);
-  EXPECT_THROW((void)query.fiber(2, idx), InvalidArgument);
-  // A component out of range throws even when it names the fiber mode the
-  // query would skip — garbage indices never silently "work".
-  const std::size_t bad_other[] = {2, 5};
-  EXPECT_THROW((void)query.fiber(0, bad_other), InvalidArgument);
-  const std::size_t bad_skipped[] = {6, 2};
-  EXPECT_THROW((void)query.fiber(0, bad_skipped), InvalidArgument);
+TEST(Query, RejectsOutOfRangeBox) {
+  const core::seq::SeqTucker m = small_model(11);
+  EXPECT_THROW((void)eval(m, {{6, 7}, {0, 1}}), InvalidArgument);
+  EXPECT_THROW((void)eval(m, {{0, 1}, {5, 6}}), InvalidArgument);
+  EXPECT_THROW((void)eval(m, {{0, 7}, {2, 3}}), InvalidArgument);  // fiber
+}
+
+TEST(Query, RejectsEmptyOrInvertedBox) {
+  const core::seq::SeqTucker m = small_model(17);
+  EXPECT_THROW((void)eval(m, {{2, 2}, {0, 5}}), InvalidArgument);
+  EXPECT_THROW((void)eval(m, {{0, 6}, {3, 3}}), InvalidArgument);
+  EXPECT_THROW((void)eval(m, {{3, 2}, {0, 1}}), InvalidArgument);
+}
+
+TEST(Query, RejectsWrongArityBox) {
+  const core::seq::SeqTucker m = small_model(13);
+  EXPECT_THROW((void)eval(m, {{3, 4}}), InvalidArgument);
+  EXPECT_THROW((void)eval(m, {{3, 4}, {3, 4}, {3, 4}}), InvalidArgument);
+  EXPECT_THROW((void)eval(m, {}), InvalidArgument);
 }
 
 /// Archive fixture for the time-range query tests: two 2-step windows of

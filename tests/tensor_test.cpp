@@ -123,16 +123,6 @@ TEST(TensorIo, StreamRoundTrip) {
   EXPECT_EQ(testing::max_diff(t, u), 0.0);
 }
 
-TEST(TensorIo, MatrixRoundTrip) {
-  const tensor::Matrix m = tensor::Matrix::randn(5, 3, 12);
-  std::stringstream ss;
-  tensor::write_matrix(ss, m);
-  const tensor::Matrix r = tensor::read_matrix(ss);
-  EXPECT_EQ(r.rows(), 5u);
-  EXPECT_EQ(r.cols(), 3u);
-  EXPECT_EQ(testing::max_diff(m, r), 0.0);
-}
-
 TEST(TensorIo, FileRoundTrip) {
   const auto path = std::filesystem::temp_directory_path() /
                     "ptucker_tensor_io_test.bin";

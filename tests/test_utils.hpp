@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "blas/blas.hpp"
 #include "mps/runtime.hpp"
 #include "obs/trace.hpp"
 #include "tensor/matrix.hpp"
@@ -93,6 +94,79 @@ inline double orthonormality_defect(const tensor::Matrix& a) {
     }
   }
   return defect;
+}
+
+/// Per-slice references for the local kernels: the paper's "multiple
+/// subroutine calls to respect the local layout", one BLAS3 call per
+/// right-slice of the (left, mid, right) mode view. The batched engine
+/// clips its KC slabs at slice boundaries so it must match these bit for
+/// bit. The TTM loops over slices in every mode; the Gram kernels make the
+/// same single call as the engine when left == 1.
+inline tensor::Tensor per_slice_ttm(const tensor::Tensor& y,
+                                    const tensor::Matrix& m, int mode) {
+  const tensor::UnfoldShape s = tensor::unfold_shape(y.dims(), mode);
+  tensor::Dims dims = y.dims();
+  dims[static_cast<std::size_t>(mode)] = m.rows();
+  tensor::Tensor z(dims);
+  for (std::size_t r = 0; r < s.right; ++r) {
+    blas::gemm(blas::Trans::No, blas::Trans::Yes, s.left, m.rows(), s.mid,
+               1.0, y.data() + r * s.left * s.mid, s.left, m.data(), m.rows(),
+               0.0, z.data() + r * s.left * m.rows(), s.left);
+  }
+  return z;
+}
+
+inline tensor::Matrix per_slice_gram(const tensor::Tensor& y, int mode) {
+  const tensor::UnfoldShape s = tensor::unfold_shape(y.dims(), mode);
+  tensor::Matrix gram(s.mid, s.mid);
+  if (s.left == 1) {
+    blas::syrk_full(blas::Trans::No, s.mid, s.right, 1.0, y.data(), s.mid,
+                    0.0, gram.data(), s.mid);
+    return gram;
+  }
+  for (std::size_t r = 0; r < s.right; ++r) {
+    blas::syrk_full(blas::Trans::Yes, s.mid, s.left, 1.0,
+                    y.data() + r * s.left * s.mid, s.left, r == 0 ? 0.0 : 1.0,
+                    gram.data(), s.mid);
+  }
+  return gram;
+}
+
+inline tensor::Matrix per_slice_gram_sym(const tensor::Tensor& y, int mode) {
+  const tensor::UnfoldShape s = tensor::unfold_shape(y.dims(), mode);
+  tensor::Matrix gram(s.mid, s.mid);
+  if (s.left == 1) {
+    blas::syrk_lower(blas::Trans::No, s.mid, s.right, 1.0, y.data(), s.mid,
+                     0.0, gram.data(), s.mid);
+  } else {
+    for (std::size_t r = 0; r < s.right; ++r) {
+      blas::syrk_lower(blas::Trans::Yes, s.mid, s.left, 1.0,
+                       y.data() + r * s.left * s.mid, s.left,
+                       r == 0 ? 0.0 : 1.0, gram.data(), s.mid);
+    }
+  }
+  blas::symmetrize_from_lower(s.mid, gram.data(), s.mid);
+  return gram;
+}
+
+inline tensor::Matrix per_slice_cross_gram(const tensor::Tensor& y,
+                                           const tensor::Tensor& w,
+                                           int mode) {
+  const tensor::UnfoldShape sy = tensor::unfold_shape(y.dims(), mode);
+  const tensor::UnfoldShape sw = tensor::unfold_shape(w.dims(), mode);
+  tensor::Matrix c(sy.mid, sw.mid);
+  if (sy.left == 1) {
+    blas::gemm(blas::Trans::No, blas::Trans::Yes, sy.mid, sw.mid, sy.right,
+               1.0, y.data(), sy.mid, w.data(), sw.mid, 0.0, c.data(), sy.mid);
+    return c;
+  }
+  for (std::size_t r = 0; r < sy.right; ++r) {
+    blas::gemm(blas::Trans::Yes, blas::Trans::No, sy.mid, sw.mid, sy.left,
+               1.0, y.data() + r * sy.left * sy.mid, sy.left,
+               w.data() + r * sw.left * sw.mid, sw.left, r == 0 ? 0.0 : 1.0,
+               c.data(), sy.mid);
+  }
+  return c;
 }
 
 /// Pretty parameter names for grids/dims in parameterized tests.

@@ -109,17 +109,27 @@ TEST(TuckerIo, CompressedFileIsSmallerThanRawData) {
 }
 
 TEST(TuckerIo, LoadRejectsGarbageFile) {
-  const std::string path = temp_model_path("ptucker_model_garbage.bin");
-  {
-    std::ofstream os(path, std::ios::binary);
-    os << "this is not a tucker model";
+  // Plain garbage, and the header of the retired rank-0 stream container
+  // (its magic, u64 version 1, u64 order 2): neither is a PTZ1 model.
+  std::string legacy{'P', 'T', 'K', 'R'};
+  for (const std::uint64_t word : {std::uint64_t{1}, std::uint64_t{2}}) {
+    legacy.append(reinterpret_cast<const char*>(&word), sizeof(word));
   }
-  EXPECT_THROW(run_ranks(1,
-                         [&](mps::Comm& comm) {
-                           auto grid = dist::make_grid(comm, {1, 1});
-                           (void)core::load_tucker(path, grid);
-                         }),
-               InvalidArgument);
+  const std::string path = temp_model_path("ptucker_model_garbage.bin");
+  for (const std::string& bytes :
+       {std::string("this is not a tucker model"), legacy}) {
+    {
+      std::ofstream os(path, std::ios::binary);
+      os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_THROW(run_ranks(1,
+                           [&](mps::Comm& comm) {
+                             auto grid = dist::make_grid(comm, {1, 1});
+                             (void)core::load_tucker(path, grid);
+                           }),
+                 InvalidArgument)
+        << bytes.substr(0, 4);
+  }
   std::filesystem::remove(path);
 }
 
