@@ -1,7 +1,8 @@
 /// \file ablate_io_paths.cpp
 /// \brief The three ways to move a distributed tensor to and from disk:
 ///   root-funnel : gather/scatter through rank 0 with the flat direct-send
-///                 loops (the seed behaviour), rank 0 streams PTT1
+///                 loops (the seed behaviour); rank 0 alone writes and reads
+///                 the whole tensor as a single-block PTB1
 ///   tree        : same funnel, but binomial-tree gather/scatter
 ///                 (O(log P) root latency instead of O(P))
 ///   parallel    : the PTB1 chunked container — every rank pread/pwrites
@@ -14,7 +15,6 @@
 #include "bench_common.hpp"
 #include "dist/grid.hpp"
 #include "pario/block_file.hpp"
-#include "tensor/tensor_io.hpp"
 #include "util/cli.hpp"
 
 using namespace ptucker;
@@ -53,6 +53,9 @@ int main(int argc, char** argv) {
 
   mps::Runtime rt(p);
   std::vector<dist::DistTensor> xs(static_cast<std::size_t>(p));
+  // The funnel root's 1-rank grid, built here so the split's messages stay
+  // out of the measured counts.
+  std::shared_ptr<mps::CartGrid> root_grid;
   rt.run([&](mps::Comm& comm) {
     auto grid = dist::make_grid(comm, dist::default_grid_shape(p, dims));
     dist::DistTensor x(grid, dims);
@@ -62,9 +65,11 @@ int main(int argc, char** argv) {
       return v;
     });
     xs[static_cast<std::size_t>(comm.rank())] = std::move(x);
+    mps::Comm solo = comm.split(comm.rank() == 0 ? 0 : 1, comm.rank());
+    if (comm.rank() == 0) root_grid = dist::make_grid(solo, {1, 1, 1});
   });
 
-  const std::string funnel_file = tmp_path("ptucker_io_funnel.ptt");
+  const std::string funnel_file = tmp_path("ptucker_io_funnel.ptb");
   const std::string chunk_file = tmp_path("ptucker_io_chunk.ptb");
 
   auto run_funnel = [&](mps::RootedAlgo algo) {
@@ -74,15 +79,22 @@ int main(int argc, char** argv) {
       auto& x = xs[static_cast<std::size_t>(comm.rank())];
       const double tw = bench::time_region(comm, [&] {
         for (int r = 0; r < reps; ++r) {
-          const tensor::Tensor global = x.gather(0, algo);
-          if (comm.rank() == 0) tensor::save_tensor(funnel_file, global);
+          tensor::Tensor global = x.gather(0, algo);
+          if (comm.rank() == 0) {
+            dist::DistTensor whole(root_grid, dims);
+            whole.local() = std::move(global);
+            pario::write_dist_tensor(funnel_file, whole);
+          }
           comm.barrier();  // file complete before anyone reads
         }
       });
       const double tr = bench::time_region(comm, [&] {
         for (int r = 0; r < reps; ++r) {
           tensor::Tensor global;
-          if (comm.rank() == 0) global = tensor::load_tensor(funnel_file);
+          if (comm.rank() == 0) {
+            global = std::move(
+                pario::read_dist_tensor(root_grid, funnel_file).local());
+          }
           const dist::DistTensor y =
               dist::DistTensor::scatter(x.grid_ptr(), global, 0, algo);
           PT_CHECK(y.local().size() == x.local().size(), "bad round trip");

@@ -7,8 +7,8 @@
 /// own block — nothing funnels through rank 0.
 ///
 ///   # generate a demo input, compress at 1e-3, inspect sizes
-///   ./tensor_compress_tool --demo demo.ptt
-///   ./tensor_compress_tool --input demo.ptt --output demo.ptz --eps 1e-3
+///   ./tensor_compress_tool --demo demo.ptb
+///   ./tensor_compress_tool --input demo.ptb --output demo.ptz --eps 1e-3
 
 #include <cstdio>
 #include <filesystem>
@@ -21,7 +21,6 @@
 #include "mps/runtime.hpp"
 #include "obs/trace.hpp"
 #include "pario/block_file.hpp"
-#include "tensor/tensor_io.hpp"
 #include "util/cli.hpp"
 #include "util/timer.hpp"
 
@@ -32,7 +31,8 @@ int main(int argc, char** argv) {
                        "compress a tensor file into a Tucker model file");
   args.add_string("input", "", "input tensor file (PTT1 or PTB1 format)");
   args.add_string("output", "", "output model file (default: input + .ptz)");
-  args.add_string("demo", "", "write a demo low-rank tensor here and exit");
+  args.add_string("demo", "",
+                  "write a demo low-rank tensor here (PTB1) and exit");
   args.add_double("eps", 1e-3, "max normalized RMS error");
   args.add_int("ranks", 8, "number of (thread) ranks");
   args.add_flag("hooi", "refine with HOOI sweeps after ST-HOSVD");
@@ -40,12 +40,19 @@ int main(int argc, char** argv) {
                   "write a chrome://tracing JSON of the run to this path");
   args.parse(argc, argv);
 
-  if (!args.get_string("demo").empty()) {
-    const tensor::Tensor demo = data::make_low_rank_seq(
-        tensor::Dims{48, 40, 36}, tensor::Dims{6, 5, 4}, 1234, 1e-6);
-    tensor::save_tensor(args.get_string("demo"), demo);
+  const int p = static_cast<int>(args.get_int("ranks"));
+  const std::string demo = args.get_string("demo");
+  if (!demo.empty()) {
+    // Every rank builds and writes its own block of the demo tensor.
+    const tensor::Dims dims{48, 40, 36};
+    mps::run(p, [&](mps::Comm& comm) {
+      auto grid = dist::make_grid(comm, dist::default_grid_shape(p, dims));
+      pario::write_dist_tensor(
+          demo, data::make_low_rank(grid, dims, tensor::Dims{6, 5, 4}, 1234,
+                                    1e-6));
+    });
     std::printf("wrote demo tensor 48x40x36 (true ranks 6x5x4) to %s\n",
-                args.get_string("demo").c_str());
+                demo.c_str());
     return 0;
   }
 
@@ -53,7 +60,6 @@ int main(int argc, char** argv) {
   PT_REQUIRE(!input.empty(), "--input is required (or use --demo)");
   std::string output = args.get_string("output");
   if (output.empty()) output = input + ".ptz";
-  const int p = static_cast<int>(args.get_int("ranks"));
   const double eps = args.get_double("eps");
 
   const std::string trace_path = args.get_string("trace");

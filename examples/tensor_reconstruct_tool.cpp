@@ -4,17 +4,17 @@
 /// ("PTA1"), sniffed by magic, and writes a dense tensor file — the full
 /// reconstruction, an arbitrary per-mode index range ("a:b" slices), or,
 /// against an archive, an arbitrary global time range (--steps a:b) that
-/// may span several archived window models. Output is "PTT1" by default or
-/// the chunked "PTB1" container with --block_output (every rank writes its
-/// own block). With --reference the tool also checks the normalized RMS
-/// error — against the original tensor file for a single model, or against
-/// the original step directory (per covered window) for an archive — used
-/// by CI to verify the eq. 3 bound.
+/// may span several archived window models. Output is the chunked "PTB1"
+/// container, written block-parallel (every rank writes its own block;
+/// nothing is gathered). With --reference the tool also checks the
+/// normalized RMS error — against the original tensor file for a single
+/// model, or against the original step directory (per covered window) for
+/// an archive — used by CI to verify the eq. 3 bound.
 ///
-///   ./tensor_reconstruct_tool --model demo.ptz --output slice.ptt
+///   ./tensor_reconstruct_tool --model demo.ptz --output slice.ptb
 ///       --slices "0:48,10:20,0:36"
 ///   ./tensor_reconstruct_tool --model run.pta --steps 30:42
-///       --output days.ptt --reference step_dir --check_eps 1e-3
+///       --output days.ptb --reference step_dir --check_eps 1e-3
 
 #include <cmath>
 #include <cstdio>
@@ -29,7 +29,6 @@
 #include "pario/block_file.hpp"
 #include "pario/model_io.hpp"
 #include "pario/timestep_reader.hpp"
-#include "tensor/tensor_io.hpp"
 #include "util/cli.hpp"
 
 using namespace ptucker;
@@ -120,15 +119,13 @@ int run_single_model(mps::Comm& comm, const util::ArgParser& args,
                      const std::string& output) {
   const int p = comm.size();
   // Grid order must match the model's order. Every rank peeks at the PTZ1
-  // header itself: no broadcast needed.
+  // order word itself (no broadcast needed); load_tucker validates the rest
+  // of the header, version included.
   PT_REQUIRE(pario::is_ptz1(model_path),
              model_path << " is neither a PTZ1 model nor a PTA1 archive");
   const pario::File f = pario::File::open_read(model_path);
-  std::uint64_t fields[2] = {0, 0};  // version, order
-  f.read_at(4, fields, sizeof(fields));
-  PT_REQUIRE(fields[0] == 1 || fields[0] == 2,
-             "unsupported PTZ1 version in " << model_path);
-  const std::uint64_t order = fields[1];
+  std::uint64_t order = 0;
+  f.read_at(12, &order, sizeof(order));  // past magic + version
   PT_REQUIRE(order >= 1 && order <= 64,
              "implausible model order " << order << " in " << model_path);
   std::vector<int> shape(order, 1);
@@ -142,19 +139,13 @@ int run_single_model(mps::Comm& comm, const util::ArgParser& args,
 
   const dist::DistTensor slice = core::reconstruct_range(model, ranges);
 
-  if (args.get_flag("block_output")) {
-    pario::write_dist_tensor(output, slice);
-  } else {
-    const tensor::Tensor global = slice.gather(0);
-    if (comm.rank() == 0) tensor::save_tensor(output, global);
-  }
+  pario::write_dist_tensor(output, slice);
   if (comm.rank() == 0) {
     std::printf("reconstructed");
     for (const auto& r : ranges) std::printf(" %zu:%zu", r.lo, r.hi);
-    std::printf(" (%zu elements) from %s -> %s%s\n",
+    std::printf(" (%zu elements) from %s -> %s (PTB1)\n",
                 static_cast<std::size_t>(tensor::prod(slice.global_dims())),
-                model_path.c_str(), output.c_str(),
-                args.get_flag("block_output") ? " (PTB1)" : "");
+                model_path.c_str(), output.c_str());
   }
 
   int exit_code = 0;
@@ -206,21 +197,15 @@ int run_archive(mps::Comm& comm, const util::ArgParser& args,
   const dist::DistTensor slice =
       recon.reconstruct_steps(grid, step_lo, step_hi, spatial);
 
-  if (args.get_flag("block_output")) {
-    pario::write_dist_tensor(output, slice);
-  } else {
-    const tensor::Tensor global = slice.gather(0);
-    if (comm.rank() == 0) tensor::save_tensor(output, global);
-  }
+  pario::write_dist_tensor(output, slice);
   if (comm.rank() == 0) {
     std::printf("reconstructed steps %llu:%llu x",
                 static_cast<unsigned long long>(step_lo),
                 static_cast<unsigned long long>(step_hi));
     for (const auto& r : spatial) std::printf(" %zu:%zu", r.lo, r.hi);
-    std::printf(" (%zu elements, %zu window models) from %s -> %s%s\n",
+    std::printf(" (%zu elements, %zu window models) from %s -> %s (PTB1)\n",
                 static_cast<std::size_t>(tensor::prod(slice.global_dims())),
-                covered.size(), model_path.c_str(), output.c_str(),
-                args.get_flag("block_output") ? " (PTB1)" : "");
+                covered.size(), model_path.c_str(), output.c_str());
   }
 
   int exit_code = 0;
@@ -282,13 +267,12 @@ int main(int argc, char** argv) {
                        "or a PTA1 model archive");
   args.add_string("model", "",
                   "input model file (PTZ1) or archive (PTA1)");
-  args.add_string("output", "", "output tensor file");
+  args.add_string("output", "", "output tensor file (PTB1)");
   args.add_string("slices", "", "per-mode lo:hi ranges, e.g. 0:48,10:20,0:36"
                   " (spatial modes only when --steps is used)");
   args.add_string("steps", "",
                   "global timestep range a:b to reconstruct from a PTA1 "
                   "archive");
-  args.add_flag("block_output", "write chunked PTB1 instead of PTT1");
   args.add_string("reference", "",
                   "original tensor file (single model) or step directory "
                   "(archive) to compare against");

@@ -1,7 +1,7 @@
 #include <cmath>
-#include <cstring>
 
 #include "blas/blas.hpp"
+#include "util/bytes.hpp"
 
 namespace ptucker::blas {
 
@@ -71,7 +71,7 @@ void scal(std::size_t n, double alpha, double* x) {
 }
 
 void copy(std::size_t n, const double* x, double* y) {
-  std::memcpy(y, x, n * sizeof(double));
+  util::copy_bytes(y, x, n * sizeof(double));
 }
 
 }  // namespace ptucker::blas

@@ -14,12 +14,12 @@ namespace {
 
 /// One mode's factor plus the trace the drivers need: the spectrum it was
 /// selected from, the energy outside the sketch subspace (randomized route
-/// only; part of the eq. 3 tail), and the method that actually ran.
+/// only; part of the eq. 3 tail), and the route that actually ran.
 struct ModeFactor {
   Matrix u;
   std::vector<double> spectrum;
   double residual = 0.0;
-  FactorMethod used = FactorMethod::GramEig;
+  FactorRoute used = FactorRoute::Gram;
 };
 
 /// Sign canonicalization matching the distributed eigenvector kernel.
@@ -100,7 +100,7 @@ Matrix orthonormalize(const Matrix& s) {
 
 /// The sequential randomized route, mirroring dist::factor_via_sketch:
 /// sketch, thin QR, q power iterations, projection, small SVD. Returns an
-/// empty u with used == GramEig when the eps-driven selection cannot
+/// empty u with used == Gram when the eps-driven selection cannot
 /// certify the eq. 3 budget (residual alone exceeds it) — the caller falls
 /// back and records the downgrade.
 ModeFactor randomized_factor(const Tensor& y, int mode, std::size_t fixed_rank,
@@ -127,7 +127,7 @@ ModeFactor randomized_factor(const Tensor& y, int mode, std::size_t fixed_rank,
   const la::LeftSvd svd = la::left_svd_via_qr(b.data(), width, b.cols(), width);
 
   ModeFactor out;
-  out.used = FactorMethod::Randomized;
+  out.used = FactorRoute::Randomized;
   out.spectrum.resize(width);
   double captured = 0.0;
   for (std::size_t i = 0; i < width; ++i) {
@@ -143,7 +143,7 @@ ModeFactor randomized_factor(const Tensor& y, int mode, std::size_t fixed_rank,
     rank = dist::select_rank_by_tail(out.spectrum,
                                      tail_threshold - out.residual);
   } else {
-    out.used = FactorMethod::GramEig;  // cannot certify: caller falls back
+    out.used = FactorRoute::Gram;  // cannot certify: caller falls back
     return out;
   }
 
@@ -155,30 +155,30 @@ ModeFactor randomized_factor(const Tensor& y, int mode, std::size_t fixed_rank,
 }
 
 /// Leading left singular subspace of the mode-n unfolding of y, with rank
-/// chosen by tail threshold or fixed. `used` records the method that
-/// actually ran; when it differs from \p method the caller records a
-/// downgrade (SvdQr on a non-wide unfolding, or the sketch eps fallback).
-ModeFactor leading_factor(const Tensor& y, int mode, FactorMethod method,
+/// chosen by tail threshold or fixed. `used` records the route that
+/// actually ran; when it differs from \p route the caller records a
+/// downgrade (Tsqr on a non-wide unfolding, or the sketch eps fallback).
+ModeFactor leading_factor(const Tensor& y, int mode, FactorRoute route,
                           std::size_t fixed_rank, double tail_threshold,
                           const dist::SketchOptions& sketch) {
   const std::size_t jn = y.dim(mode);
 
   const tensor::UnfoldShape pre = tensor::unfold_shape(y.dims(), mode);
-  if (method == FactorMethod::SvdQr && pre.left * pre.right < jn) {
+  if (route == FactorRoute::Tsqr && pre.left * pre.right < jn) {
     // QR route needs a wide unfolding; degenerate shapes use the Gram route.
-    method = FactorMethod::GramEig;
+    route = FactorRoute::Gram;
   }
-  if (method == FactorMethod::Randomized) {
+  if (route == FactorRoute::Randomized) {
     ModeFactor out =
         randomized_factor(y, mode, fixed_rank, tail_threshold, sketch);
-    if (out.used == FactorMethod::Randomized) return out;
-    method = FactorMethod::GramEig;  // eps-tail fallback
+    if (out.used == FactorRoute::Randomized) return out;
+    route = FactorRoute::Gram;  // eps-tail fallback
   }
 
   ModeFactor out;
-  out.used = method;
+  out.used = route;
   Matrix basis;  // jn x jn orthonormal columns, leading first
-  if (method == FactorMethod::SvdQr) {
+  if (route == FactorRoute::Tsqr) {
     const Matrix unf = materialize_unfolding(y, mode);
     la::LeftSvd svd = la::left_svd_via_qr(unf.data(), jn, unf.cols(), jn);
     out.spectrum.resize(jn);
@@ -189,9 +189,7 @@ ModeFactor leading_factor(const Tensor& y, int mode, FactorMethod method,
     blas::copy(svd.u.size(), svd.u.data(), basis.data());
   } else {
     const Matrix gram = tensor::local_gram(y, mode);
-    la::SymEig eig = (method == FactorMethod::GramJacobi)
-                         ? la::eig_sym_jacobi(gram.data(), jn, jn)
-                         : la::eig_sym(gram.data(), jn, jn);
+    la::SymEig eig = la::eig_sym(gram.data(), jn, jn);
     out.spectrum = std::move(eig.values);
     basis = Matrix(jn, jn);
     blas::copy(eig.vectors.size(), eig.vectors.data(), basis.data());
@@ -207,20 +205,6 @@ ModeFactor leading_factor(const Tensor& y, int mode, FactorMethod method,
 }
 
 }  // namespace
-
-std::string_view seq_factor_method_name(FactorMethod method) {
-  switch (method) {
-    case FactorMethod::GramEig:
-      return "gram-eig";
-    case FactorMethod::GramJacobi:
-      return "gram-jacobi";
-    case FactorMethod::SvdQr:
-      return "svd-qr";
-    case FactorMethod::Randomized:
-      return "randomized";
-  }
-  return "?";
-}
 
 double SeqTucker::compression_ratio() const {
   Dims dims(factors.size());
@@ -243,7 +227,7 @@ SeqResult seq_st_hosvd(const Tensor& x, const SeqOptions& options) {
       resolve_mode_order(options.order_strategy, x.dims(), options.fixed_ranks,
                          options.custom_order);
   result.mode_eigenvalues.resize(static_cast<std::size_t>(order));
-  result.mode_methods.assign(static_cast<std::size_t>(order), options.method);
+  result.mode_routes.assign(static_cast<std::size_t>(order), options.route);
   result.tucker.factors.resize(static_cast<std::size_t>(order));
 
   Tensor y = x;
@@ -253,16 +237,16 @@ SeqResult seq_st_hosvd(const Tensor& x, const SeqOptions& options) {
         options.fixed_ranks.empty()
             ? 0
             : options.fixed_ranks[static_cast<std::size_t>(n)];
-    ModeFactor factor = leading_factor(y, n, options.method, fixed,
+    ModeFactor factor = leading_factor(y, n, options.route, fixed,
                                        tail_threshold, options.sketch);
-    if (factor.used != options.method) {
+    if (factor.used != options.route) {
       result.downgrades.push_back(
-          {n, options.method, factor.used,
-           options.method == FactorMethod::SvdQr
+          {n, options.route, factor.used,
+           options.route == FactorRoute::Tsqr
                ? "unfolding not wide (Jhat_n < Jn): QR route undefined"
                : "sketch residual exceeds the eq. 3 per-mode budget"});
     }
-    result.mode_methods[static_cast<std::size_t>(n)] = factor.used;
+    result.mode_routes[static_cast<std::size_t>(n)] = factor.used;
     tail_total += factor.residual;
     for (std::size_t i = factor.u.cols(); i < factor.spectrum.size(); ++i) {
       tail_total += std::max(0.0, factor.spectrum[i]);
@@ -308,7 +292,7 @@ SeqHooiResult seq_hooi(const Tensor& x, const SeqOptions& init_options,
             m);
       }
       ModeFactor factor =
-          leading_factor(y, n, init_options.method,
+          leading_factor(y, n, init_options.route,
                          ranks[static_cast<std::size_t>(n)], 0.0,
                          init_options.sketch);
       result.tucker.factors[static_cast<std::size_t>(n)] = std::move(factor.u);

@@ -10,10 +10,8 @@
 ///  3. the Sec. IX ablation host for the Gram-free SVD and randomized
 ///     sketch factor computations.
 
-#include <string>
-#include <string_view>
-
 #include "core/mode_order.hpp"
+#include "core/st_hosvd.hpp"
 #include "dist/sketch.hpp"
 #include "lapack/lapack.hpp"
 #include "tensor/local_kernels.hpp"
@@ -23,27 +21,6 @@ namespace ptucker::core::seq {
 using tensor::Dims;
 using tensor::Matrix;
 using tensor::Tensor;
-
-enum class FactorMethod {
-  GramEig,    ///< Gram matrix + symmetric eigensolver (paper default)
-  GramJacobi, ///< Gram matrix + Jacobi eigensolver
-  SvdQr,      ///< QR of the unfolding's transpose + small SVD (Sec. IX)
-  Randomized, ///< sketch Y(n)*Omega -> thin QR -> project -> small SVD,
-              ///< mirroring the distributed route entry for entry (same
-              ///< counter-based Omega per (seed, mode))
-};
-
-[[nodiscard]] std::string_view seq_factor_method_name(FactorMethod method);
-
-/// A mode whose requested method could not run (SvdQr on a degenerate
-/// non-wide unfolding, or a sketch that failed the eq. 3 posteriori check)
-/// and was replaced by the Gram route. Recorded, never silent.
-struct SeqDowngrade {
-  int mode = -1;
-  FactorMethod requested = FactorMethod::GramEig;
-  FactorMethod used = FactorMethod::GramEig;
-  std::string reason;
-};
 
 struct SeqTucker {
   Tensor core;
@@ -58,8 +35,15 @@ struct SeqOptions {
   std::vector<std::size_t> fixed_ranks;
   ModeOrderStrategy order_strategy = ModeOrderStrategy::Natural;
   std::vector<int> custom_order;
-  FactorMethod method = FactorMethod::GramEig;
-  /// Knobs for FactorMethod::Randomized; the seed and width conventions are
+  /// The factor route, with the distributed routes' names:
+  ///  - Gram: Gram matrix + symmetric eigensolver (paper default);
+  ///  - Tsqr: QR of the materialized unfolding's transpose + small SVD
+  ///    (Sec. IX), the sequential stand-in for the TSQR tree;
+  ///  - Randomized: sketch Y(n)*Omega -> thin QR -> project -> small SVD,
+  ///    mirroring the distributed route entry for entry (same
+  ///    counter-based Omega per (seed, mode)).
+  FactorRoute route = FactorRoute::Gram;
+  /// Knobs for FactorRoute::Randomized; the seed and width conventions are
   /// shared with the distributed route, so at a fixed (seed, mode) both
   /// sketch against the same Omega.
   dist::SketchOptions sketch;
@@ -69,10 +53,12 @@ struct SeqResult {
   SeqTucker tucker;
   std::vector<std::vector<double>> mode_eigenvalues;  ///< by mode
   std::vector<int> mode_order_used;
-  /// Method that actually produced each mode's factor, indexed by mode
-  /// (differs from SeqOptions::method only via a recorded downgrade).
-  std::vector<FactorMethod> mode_methods;
-  std::vector<SeqDowngrade> downgrades;
+  /// Route that actually produced each mode's factor, indexed by mode
+  /// (differs from SeqOptions::route only via a recorded downgrade: Tsqr on
+  /// a non-wide unfolding, or a sketch that failed the eq. 3 posteriori
+  /// check, replaced by the Gram route).
+  std::vector<FactorRoute> mode_routes;
+  std::vector<RouteDowngrade> downgrades;
   double norm_x = 0.0;
   double error_bound = 0.0;
 };

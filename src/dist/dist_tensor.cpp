@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "mps/collectives.hpp"
+#include "util/bytes.hpp"
 
 namespace ptucker::dist {
 
@@ -126,8 +127,8 @@ tensor::Tensor DistTensor::gather(int root, mps::RootedAlgo algo) const {
     tensor::Tensor block(block_dims);
     const std::vector<double>& payload = blocks[static_cast<std::size_t>(r)];
     PT_CHECK(payload.size() == block.size(), "gather: block size mismatch");
-    std::memcpy(block.data(), payload.data(),
-                payload.size() * sizeof(double));
+    util::copy_bytes(block.data(), payload.data(),
+                     payload.size() * sizeof(double));
     place_subtensor(global, ranges, block);
   }
   return global;

@@ -1,9 +1,8 @@
 #include "dist/gram.hpp"
 
-#include <cstring>
-
 #include "mps/collectives.hpp"
 #include "obs/trace.hpp"
+#include "util/bytes.hpp"
 
 namespace ptucker::dist {
 
@@ -16,8 +15,8 @@ constexpr int kTagGramRing = 310;
 void fill_rows(tensor::Matrix& cols, std::size_t row_lo,
                const tensor::Matrix& block) {
   for (std::size_t j = 0; j < block.cols(); ++j) {
-    std::memcpy(cols.col(j) + row_lo, block.col(j),
-                block.rows() * sizeof(double));
+    util::copy_bytes(cols.col(j) + row_lo, block.col(j),
+                     block.rows() * sizeof(double));
   }
 }
 

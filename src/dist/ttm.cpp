@@ -1,12 +1,12 @@
 #include "dist/ttm.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "costmodel/collective_model.hpp"
 #include "costmodel/tucker_model.hpp"
 #include "mps/collectives.hpp"
 #include "obs/trace.hpp"
+#include "util/bytes.hpp"
 
 namespace ptucker::dist {
 
@@ -77,8 +77,8 @@ void pack_destination_blocks(const tensor::Tensor& partial, const DistTensor& z,
         z.mode_range_of(mode, l).hi - group.lo};
     const tensor::Tensor block = partial.subtensor(ranges);
     counts[static_cast<std::size_t>(l)] = block.size();
-    std::memcpy(packed.data() + offset, block.data(),
-                block.size() * sizeof(double));
+    util::copy_bytes(packed.data() + offset, block.data(),
+                     block.size() * sizeof(double));
     offset += block.size();
   }
   PT_CHECK(offset == packed.size(), "ttm: packing size mismatch");

@@ -34,6 +34,7 @@
 #include "mps/collective_handle.hpp"
 #include "mps/comm.hpp"
 #include "util/blocks.hpp"
+#include "util/bytes.hpp"
 
 namespace ptucker::mps {
 
@@ -107,7 +108,7 @@ void build_bcast(AsyncOp& op, const Comm& comm, std::span<T> buf, int root,
     a.recv_bytes = buf.size_bytes();
     T* dst = buf.data();
     a.consume = [dst](std::span<const std::byte> payload) {
-      std::memcpy(dst, payload.data(), payload.size());
+      util::copy_bytes(dst, payload.data(), payload.size());
     };
     op.actions.push_back(std::move(a));
     mask = recv_mask;
@@ -159,7 +160,7 @@ bool build_reduce_tree(AsyncOp& op, const Comm& comm, RingState<T>* st,
       a.recv_bytes = st->acc.size() * sizeof(T);
       RingState<T>* s = st;
       a.consume = [s, theop](std::span<const std::byte> payload) {
-        std::memcpy(s->tmp.data(), payload.data(), payload.size());
+        util::copy_bytes(s->tmp.data(), payload.data(), payload.size());
         for (std::size_t i = 0; i < s->acc.size(); ++i) {
           s->acc[i] = theop(s->acc[i], s->tmp[i]);
         }
@@ -206,7 +207,7 @@ void build_allgatherv_ring(AsyncOp& op, const Comm& comm, T* all,
       a.recv_bytes = counts[pu] * sizeof(T);
       T* dst = all + offsets[pu];
       a.consume = [dst](std::span<const std::byte> payload) {
-        std::memcpy(dst, payload.data(), payload.size());
+        util::copy_bytes(dst, payload.data(), payload.size());
       };
       op.actions.push_back(std::move(a));
     }
@@ -303,7 +304,7 @@ template <class T>
   a.recv_bytes = buf.size_bytes();
   T* dst = buf.data();
   a.consume = [dst](std::span<const std::byte> payload) {
-    std::memcpy(dst, payload.data(), payload.size());
+    util::copy_bytes(dst, payload.data(), payload.size());
   };
   op->actions.push_back(std::move(a));
   return detail::launch(std::move(op));
@@ -352,7 +353,7 @@ template <class T, class Op = Sum<T>>
     detail::RingState<T>* s = st.get();
     T* dst = out.data();
     a.run = [s, dst] {
-      std::memcpy(dst, s->acc.data(), s->acc.size() * sizeof(T));
+      util::copy_bytes(dst, s->acc.data(), s->acc.size() * sizeof(T));
     };
     aop->actions.push_back(std::move(a));
   }
@@ -392,8 +393,8 @@ template <class T>
   const int r = comm.rank();
   PT_CHECK(mine.size() == counts[static_cast<std::size_t>(r)],
            "allgatherv: my contribution size mismatch");
-  std::memcpy(all.data() + st->offsets[static_cast<std::size_t>(r)],
-              mine.data(), mine.size() * sizeof(T));
+  util::copy_bytes(all.data() + st->offsets[static_cast<std::size_t>(r)],
+                   mine.data(), mine.size() * sizeof(T));
   detail::build_allgatherv_ring(*op, comm, all.data(), st->counts,
                                 st->offsets, tag);
   return detail::launch(std::move(op));
@@ -449,8 +450,8 @@ template <class T, class Op = Sum<T>>
     T* dst = out.data();
     const std::size_t ru = static_cast<std::size_t>(r);
     a.run = [s, dst, ru] {
-      std::memcpy(dst, s->work.data() + s->offsets[ru],
-                  s->counts[ru] * sizeof(T));
+      util::copy_bytes(dst, s->work.data() + s->offsets[ru],
+                       s->counts[ru] * sizeof(T));
     };
     aop->actions.push_back(std::move(a));
   }
@@ -601,7 +602,7 @@ template <class T>
       PT_CHECK(bytes.size() % sizeof(T) == 0, "gather_varied: payload size");
       std::vector<T>& slot = result[static_cast<std::size_t>(src)];
       slot.resize(bytes.size() / sizeof(T));
-      std::memcpy(slot.data(), bytes.data(), bytes.size());
+      util::copy_bytes(slot.data(), bytes.data(), bytes.size());
     }
     return result;
   }
@@ -647,7 +648,7 @@ template <class T>
     PT_CHECK(bytes.size() % sizeof(T) == 0, "gather_varied: payload size");
     std::vector<T>& slot = result[static_cast<std::size_t>(actual(v))];
     slot.resize(bytes.size() / sizeof(T));
-    std::memcpy(slot.data(), bytes.data(), bytes.size());
+    util::copy_bytes(slot.data(), bytes.data(), bytes.size());
   }
   return result;
 }
@@ -676,7 +677,7 @@ template <class T>
     auto bytes = comm.recv_bytes_any_size(root, detail::kTagScatter);
     PT_CHECK(bytes.size() % sizeof(T) == 0, "scatter_varied: payload size");
     std::vector<T> mine(bytes.size() / sizeof(T));
-    std::memcpy(mine.data(), bytes.data(), bytes.size());
+    util::copy_bytes(mine.data(), bytes.data(), bytes.size());
     return mine;
   }
 
@@ -718,7 +719,7 @@ template <class T>
   const std::vector<std::byte>& bytes = sub[static_cast<std::size_t>(vr)];
   PT_CHECK(bytes.size() % sizeof(T) == 0, "scatter_varied: payload size");
   std::vector<T> mine(bytes.size() / sizeof(T));
-  std::memcpy(mine.data(), bytes.data(), bytes.size());
+  util::copy_bytes(mine.data(), bytes.data(), bytes.size());
   return mine;
 }
 

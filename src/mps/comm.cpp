@@ -4,6 +4,7 @@
 
 #include "mps/collectives.hpp"
 #include "obs/registry.hpp"
+#include "util/bytes.hpp"
 
 namespace ptucker::mps {
 
@@ -93,7 +94,7 @@ void Comm::recv_bytes(std::span<std::byte> buf, int src, int tag) const {
                                            << msg.payload.size()
                                            << " (src=" << src
                                            << " tag=" << tag << ")");
-  std::memcpy(buf.data(), msg.payload.data(), buf.size());
+  util::copy_bytes(buf.data(), msg.payload.data(), buf.size());
 }
 
 std::vector<std::byte> Comm::recv_bytes_any_size(int src, int tag) const {

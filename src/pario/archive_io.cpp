@@ -12,7 +12,7 @@ namespace ptucker::pario {
 
 namespace {
 constexpr char kMagicArchive[4] = {'P', 'T', 'A', '1'};
-constexpr std::uint64_t kVersionPlain = 1;  // 5-u64 slots, no checksums
+constexpr std::uint64_t kVersionPlain = 1;  // legacy: 5-u64 slots, no checksums
 constexpr std::uint64_t kVersionCrc = 2;    // 6-u64 slots with slot_crc
 
 /// Bytes of one entry-table slot: step_first, step_count, eps, byte_offset,
@@ -256,10 +256,9 @@ void archive_create(const std::string& path, const mps::Comm& comm,
   PT_REQUIRE(entry_capacity >= 1 && entry_capacity <= kMaxCapacity,
              "archive_create: implausible capacity " << entry_capacity);
   if (comm.rank() == 0) {
-    const bool crc = write_checksums();
     detail::HeaderWriter w;
     w.magic(kMagicArchive);
-    w.u64(crc ? kVersionCrc : kVersionPlain);
+    w.u64(kVersionCrc);
     w.u64(static_cast<std::uint64_t>(step_dims.size()) + 1);
     for (std::size_t d : step_dims) w.u64(d);
     w.u64(species_mode < 0 ? kArchiveNoSpecies
@@ -270,7 +269,8 @@ void archive_create(const std::string& path, const mps::Comm& comm,
     f.write_at(0, w.bytes().data(), w.bytes().size());
     // Size the file to the full header so every table slot exists and the
     // first blob lands at a stable offset.
-    f.truncate(archive_header_bytes(step_dims.size(), entry_capacity, crc));
+    f.truncate(
+        archive_header_bytes(step_dims.size(), entry_capacity, /*crc=*/true));
   }
   comm.barrier();
 }

@@ -18,10 +18,12 @@
 ///   | entry payloads: each a complete PTZ1 blob (blob-relative offsets,
 ///     so an entry extracted byte-for-byte is a standalone PTZ1 file)
 ///
-/// slot_crc (version 2, the default — see pario::set_write_checksums) is a
-/// CRC32C over the slot's first five fields, so a torn table write can
-/// never masquerade as a valid entry; version-1 archives use 5-u64 slots
-/// with no checksum and are still read.
+/// slot_crc (version 2, the version archive_create writes) is a CRC32C over
+/// the slot's first five fields, so a torn table write can never masquerade
+/// as a valid entry. Legacy version-1 archives use 5-u64 slots with no
+/// checksum; they are still read, and appending to one keeps its slot
+/// format (the version comes from the file) while each new entry blob is a
+/// version-2 PTZ1.
 ///
 /// When the primary table fills, appends no longer stop: a *continuation
 /// table* is materialized where the next blob would have gone —

@@ -9,11 +9,10 @@
 ///   | u64 block_crc[prod(grid)]          (version 2 only)
 ///   | f64 block payloads ...
 ///
-/// Version 2 (the default since the robustness PR; see
-/// pario::set_write_checksums) adds one CRC32C per block — stored in the
-/// low 32 bits of a u64 slot, written by the owning rank alongside its
-/// payload — verified on any read that fully covers a block. Version-1
-/// files are still read (no verification).
+/// Version 2, the only version written, adds one CRC32C per block — stored
+/// in the low 32 bits of a u64 slot, written by the owning rank alongside
+/// its payload — verified on any read that fully covers a block. Legacy
+/// version-1 files are still read (no verification).
 ///
 /// Block b (grid-rank order, coordinate 0 fastest — the CartGrid
 /// linearization) holds the uniform_block sub-tensor of every mode at b's
@@ -25,9 +24,10 @@
 /// header so a reader on a *different* grid can locate the runs it needs
 /// (redistribution) and so truncation is detected, not trusted.
 ///
-/// A plain "PTT1" tensor file is readable through the same interface as a
-/// degenerate PTB1 with a 1 x ... x 1 grid, which is what lets the example
-/// tools and the timestep reader ingest legacy files block-parallel.
+/// A legacy "PTT1" dense tensor file ("PTT1" | u64 order | u64 dims[N] |
+/// f64 data, first-index-fastest) is read-only: it opens through the same
+/// interface as a degenerate PTB1 with a 1 x ... x 1 grid, which is what
+/// lets the example tools and the timestep reader ingest it block-parallel.
 
 #include <memory>
 #include <string>
@@ -78,8 +78,8 @@ void write_dist_tensor(const std::string& path, const dist::DistTensor& x);
 [[nodiscard]] dist::DistTensor read_dist_tensor(
     std::shared_ptr<mps::CartGrid> grid, const std::string& path);
 
-/// Total byte size of the PTB1 container for the given dims and grid, for
-/// the version the current pario::write_checksums() setting would emit.
+/// Total byte size of the PTB1 container write_dist_tensor emits for the
+/// given dims and grid.
 [[nodiscard]] std::uint64_t ptb1_file_bytes(const tensor::Dims& dims,
                                             const std::vector<int>& grid);
 

@@ -12,18 +12,21 @@ namespace ptucker::pario::faults {
 namespace {
 
 /// All mutable state behind one atomic pointer: arm() installs a fresh
-/// (leaked) block so rank-threads mid-I/O never race a reconfiguration.
-/// Leaking is deliberate — plans are armed a handful of times per test
-/// process and a stale pointer held by a concurrent reader stays valid.
+/// block so rank-threads mid-I/O never race a reconfiguration. Retired
+/// blocks are never freed — plans are armed a handful of times per test
+/// process and a stale pointer held by a concurrent reader stays valid —
+/// but every block stays reachable through the g_armed list.
 struct State {
   FaultPlan plan;
   std::atomic<std::uint64_t> decisions{0};  ///< rng stream position
   std::atomic<std::uint64_t> ops{0};        ///< write-class op counter
   std::atomic<std::uint64_t> injected{0};
   std::atomic<bool> crashed{false};
+  State* older = nullptr;  ///< the block armed before this one
 };
 
 std::atomic<State*> g_state{nullptr};
+std::atomic<State*> g_armed{nullptr};  ///< every block ever armed, newest first
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -60,6 +63,7 @@ State* matching_state(const std::string& path) {
 void arm(const FaultPlan& plan) {
   auto* s = new State;
   s->plan = plan;
+  s->older = g_armed.exchange(s, std::memory_order_relaxed);
   g_state.store(s, std::memory_order_release);
 }
 

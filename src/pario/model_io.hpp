@@ -14,10 +14,10 @@
 ///   | f64 factor payloads (column-major, mode order)
 ///   | core blocks (grid-rank order, as in PTB1)
 ///
-/// Version 2 (the default; see pario::set_write_checksums) carries one
-/// CRC32C per core block plus one over the whole factor payload region,
-/// each in the low 32 bits of a u64 slot, verified on read. Version-1
-/// blobs are still read (no verification).
+/// Version 2, the only version written, carries one CRC32C per core block
+/// plus one over the whole factor payload region, each in the low 32 bits
+/// of a u64 slot, verified on read. Legacy version-1 blobs are still read
+/// (no verification).
 ///
 /// Everything up to the core blocks is written by rank 0 (factors are
 /// replicated, so no gather is needed); every rank then pwrites its own
@@ -103,7 +103,8 @@ std::uint64_t write_model_at(const std::string& path, std::uint64_t base,
 /// True when the file at \p path starts with the PTZ1 magic.
 [[nodiscard]] bool is_ptz1(const std::string& path);
 
-/// Total byte size of the PTZ1 container for a model of the given shapes.
+/// Total byte size of the PTZ1 container write_model emits for a model of
+/// the given shapes.
 /// \p stats_count is the species extent when stats are archived, 0 otherwise.
 [[nodiscard]] std::uint64_t ptz1_file_bytes(
     const tensor::Dims& core_dims, const std::vector<int>& grid,

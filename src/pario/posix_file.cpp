@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -53,8 +52,7 @@ IoCounters& io_counters() {
 }
 
 std::mutex g_policy_mutex;
-RetryPolicy g_policy;                       // guarded by g_policy_mutex
-std::atomic<bool> g_write_checksums{true};  // v2 containers by default
+RetryPolicy g_policy;  // guarded by g_policy_mutex
 
 /// Errnos worth retrying with backoff: the transient faults a networked or
 /// overloaded filesystem produces. Everything else fails immediately.
@@ -89,14 +87,6 @@ void set_retry_policy(const RetryPolicy& policy) {
 RetryPolicy retry_policy() {
   const std::lock_guard<std::mutex> lock(g_policy_mutex);
   return g_policy;
-}
-
-void set_write_checksums(bool on) {
-  g_write_checksums.store(on, std::memory_order_relaxed);
-}
-
-bool write_checksums() {
-  return g_write_checksums.load(std::memory_order_relaxed);
 }
 
 File::~File() { close(); }

@@ -33,12 +33,6 @@ struct RetryPolicy {
 void set_retry_policy(const RetryPolicy& policy);
 [[nodiscard]] RetryPolicy retry_policy();
 
-/// Whether pario writers emit version-2 (CRC32C-checksummed) containers.
-/// Defaults to true. Version-1 files remain readable either way; flip off
-/// to produce byte-identical pre-checksum output for compatibility.
-void set_write_checksums(bool on);
-[[nodiscard]] bool write_checksums();
-
 class File {
  public:
   File() = default;

@@ -56,18 +56,6 @@ class RetryPolicyGuard {
   pario::RetryPolicy saved_;
 };
 
-/// Restore the checksum-writing toggle on scope exit.
-class ChecksumToggle {
- public:
-  explicit ChecksumToggle(bool on) : saved_(pario::write_checksums()) {
-    pario::set_write_checksums(on);
-  }
-  ~ChecksumToggle() { pario::set_write_checksums(saved_); }
-
- private:
-  bool saved_;
-};
-
 std::uint64_t counter_value(const char* name) {
   return obs::registry().counter(name).value();
 }
@@ -333,28 +321,55 @@ TEST(Corruption, Pta1TornTableSlotIsNamedInChecksumError) {
   std::filesystem::remove(path);
 }
 
+/// Every writer emits version 2; version 1 is read-only. The v1 PTB1 is a
+/// checked-in fixture from the last writer that could emit it: the same
+/// {8,6,5} field (seed 67) on the same {2,1,1} grid as build_ptb1.
 TEST(Compat, ChecksumsOffWritesVersionOneAndBothVersionsRead) {
-  const std::string v1 = temp_path("ptucker_compat_v1.ptb");
+  const std::string v1 = testing::test_data_path("v1_block.ptb");
   const std::string v2 = temp_path("ptucker_compat_v2.ptb");
   const Dims dims{8, 6, 5};
-  {
-    ChecksumToggle off(false);
-    build_ptb1(v1, dims, 67);
-  }
   build_ptb1(v2, dims, 67);
   EXPECT_EQ(read_version_word(v1), 1u);
   EXPECT_EQ(read_version_word(v2), 2u);
-  // The v1 file is the pre-checksum layout byte for byte.
-  {
-    ChecksumToggle off(false);
-    EXPECT_EQ(std::filesystem::file_size(v1),
-              pario::ptb1_file_bytes(dims, {2, 1, 1}));
-  }
-  EXPECT_LT(std::filesystem::file_size(v1), std::filesystem::file_size(v2));
+  EXPECT_EQ(std::filesystem::file_size(v2),
+            pario::ptb1_file_bytes(dims, {2, 1, 1}));
+  // The v1 file is the v2 layout minus the crc table (one u64 slot per
+  // block), with byte-identical block payloads.
+  const std::uint64_t crc_table = 2 * sizeof(std::uint64_t);
+  ASSERT_EQ(std::filesystem::file_size(v1) + crc_table,
+            std::filesystem::file_size(v2));
+  const std::uint64_t payload = 8 * 6 * 5 * sizeof(double);
+  std::vector<char> p1(payload);
+  std::vector<char> p2(payload);
+  std::ifstream(v1, std::ios::binary)
+      .seekg(-static_cast<std::streamoff>(payload), std::ios::end)
+      .read(p1.data(), static_cast<std::streamsize>(payload));
+  std::ifstream(v2, std::ios::binary)
+      .seekg(-static_cast<std::streamoff>(payload), std::ios::end)
+      .read(p2.data(), static_cast<std::streamsize>(payload));
+  EXPECT_EQ(p1, p2);
   expect_ptb1_roundtrips(v1, dims, 67);
   expect_ptb1_roundtrips(v2, dims, 67);
-  std::filesystem::remove(v1);
+
+  // The PTZ1 and PTA1 writers emit version 2 as well.
+  const std::string model = temp_path("ptucker_compat_v2.ptz");
+  const std::string archive = temp_path("ptucker_compat_v2.pta");
+  run_ranks(2, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {2, 1, 1});
+    DistTensor x(grid, dims);
+    x.fill_global(testing::splitmix_field(67));
+    core::SthosvdOptions opts;
+    opts.epsilon = 1e-2;
+    const auto result = core::st_hosvd(x, opts);
+    pario::write_model(model, result.tucker.core,
+                       std::span<const tensor::Matrix>(result.tucker.factors));
+    pario::archive_create(archive, comm, Dims{8, 6}, -1, /*capacity=*/4);
+  });
+  EXPECT_EQ(read_version_word(model), 2u);
+  EXPECT_EQ(read_version_word(archive), 2u);
   std::filesystem::remove(v2);
+  std::filesystem::remove(model);
+  std::filesystem::remove(archive);
 }
 
 // ---------------------------------------------------------------------------

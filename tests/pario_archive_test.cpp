@@ -308,21 +308,30 @@ TEST(Archive, RejectsMisuse) {
 
 /// Chaining: a small primary table grows through continuation tables and
 /// every entry stays readable — across grids, and in both container
-/// versions (v2 slot/header checksums and plain v1).
+/// versions. The v2 run creates the archive; the v1 run starts from a
+/// checked-in fixture (same field, shapes and grid, windows 0-2 already
+/// committed, so one continuation table exists) and keeps its v1 slots.
 TEST(Archive, ChainsPastCapacityThroughContinuationTables) {
-  for (const bool crc : {true, false}) {
-    const bool saved = pario::write_checksums();
-    pario::set_write_checksums(crc);
+  const Dims step_dims{6, 5, 4};
+  const double eps = 1e-5;
+  const std::size_t window = 2;
+  const std::size_t windows = 7;  // capacity 2 -> primary + 3 chained
+  for (const bool legacy : {false, true}) {
     const std::string path = temp_path("ptucker_arch_chain.pta");
-    const Dims step_dims{6, 5, 4};
-    const double eps = 1e-5;
-    const std::size_t window = 2;
-    const std::size_t windows = 7;  // capacity 2 -> primary + 3 chained
+    const std::size_t first = legacy ? 3 : 0;
+    if (legacy) {
+      std::filesystem::copy_file(
+          testing::test_data_path("v1_chain.pta"), path,
+          std::filesystem::copy_options::overwrite_existing);
+      ASSERT_EQ(pario::ArchiveReader(path).entry_count(), first);
+    }
 
     run_ranks(4, [&](mps::Comm& comm) {
       auto grid = dist::make_grid(comm, {2, 2, 1, 1});
-      pario::archive_create(path, comm, step_dims, -1, /*capacity=*/2);
-      for (std::size_t w = 0; w < windows; ++w) {
+      if (!legacy) {
+        pario::archive_create(path, comm, step_dims, -1, /*capacity=*/2);
+      }
+      for (std::size_t w = first; w < windows; ++w) {
         const TuckerTensor model =
             window_model(grid, step_dims, w * window, window, eps);
         pario::archive_append_model(
@@ -331,10 +340,15 @@ TEST(Archive, ChainsPastCapacityThroughContinuationTables) {
       }
     });
 
+    std::uint64_t version = 0;
+    std::ifstream(path, std::ios::binary)
+        .seekg(4)
+        .read(reinterpret_cast<char*>(&version), sizeof(version));
+    EXPECT_EQ(version, legacy ? 1u : 2u);
     run_ranks(2, [&](mps::Comm& comm) {
       auto grid = dist::make_grid(comm, {2, 1, 1, 1});
       const pario::ArchiveReader reader(path);
-      ASSERT_EQ(reader.entry_count(), windows) << "crc " << crc;
+      ASSERT_EQ(reader.entry_count(), windows) << "legacy " << legacy;
       EXPECT_EQ(reader.entry_capacity(), 2u);
       EXPECT_EQ(reader.total_capacity(), 8u);  // 2 + 3 x 2 chained
       EXPECT_EQ(reader.step_end(), windows * window);
@@ -350,10 +364,9 @@ TEST(Archive, ChainsPastCapacityThroughContinuationTables) {
                                     expect.local().data(),
                                     got.local().size()),
                   1e-4)
-            << "crc " << crc << " entry " << e;
+            << "legacy " << legacy << " entry " << e;
       }
     });
-    pario::set_write_checksums(saved);
     std::filesystem::remove(path);
   }
 }

@@ -10,7 +10,6 @@
 #include "dist/grid.hpp"
 #include "pario/block_file.hpp"
 #include "pario/model_io.hpp"
-#include "tensor/tensor_io.hpp"
 #include "test_utils.hpp"
 
 namespace ptucker {
@@ -115,7 +114,7 @@ TEST(ParIo, ReadsLegacyPtt1FilesBlockParallel) {
   const Dims dims{8, 6, 5};
   Tensor global(dims);
   global.fill_from(testing::splitmix_field(5));
-  tensor::save_tensor(path, global);
+  testing::write_ptt1(path, global);
   mps::Runtime rt(4);
   std::vector<std::shared_ptr<mps::CartGrid>> grids(4);
   rt.run([&](mps::Comm& comm) {
@@ -133,6 +132,28 @@ TEST(ParIo, ReadsLegacyPtt1FilesBlockParallel) {
   for (int r = 0; r < 4; ++r) {
     EXPECT_EQ(rt.rank_stats(r).messages_sent, 0u) << "rank " << r;
   }
+  std::filesystem::remove(path);
+}
+
+/// A hostile legacy header: PTT1 dims claiming 2^40 doubles (8 TiB) in a
+/// 40-byte file. The claim must be checked against the file size before
+/// anything is sized from it — an allocation first would surface as
+/// std::bad_alloc (or an OOM kill), not as the named InvalidArgument.
+TEST(ParIo, HostilePtt1HeaderThrowsBeforeAllocating) {
+  const std::string path = temp_path("ptucker_hostile.ptt");
+  {
+    std::ofstream os(path, std::ios::binary);
+    os.write("PTT1", 4);
+    const std::uint64_t fields[4] = {3, 1ull << 14, 1ull << 13, 1ull << 13};
+    os.write(reinterpret_cast<const char*>(fields), sizeof(fields));
+    os.write("\0\0\0\0", 4);
+  }
+  ASSERT_EQ(std::filesystem::file_size(path), 40u);
+  EXPECT_THROW((void)pario::BlockFile::open(path), InvalidArgument);
+  run_ranks(1, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {1, 1, 1});
+    EXPECT_THROW((void)pario::read_dist_tensor(grid, path), InvalidArgument);
+  });
   std::filesystem::remove(path);
 }
 

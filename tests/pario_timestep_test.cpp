@@ -9,7 +9,6 @@
 #include "dist/grid.hpp"
 #include "pario/block_file.hpp"
 #include "pario/timestep_reader.hpp"
-#include "tensor/tensor_io.hpp"
 #include "test_utils.hpp"
 
 namespace ptucker {
@@ -43,7 +42,7 @@ std::string make_step_dir(const char* name, const Dims& dims,
     char file[32];
     if (t % 2 == 0) {
       std::snprintf(file, sizeof(file), "step_%04zu.ptt", t);
-      tensor::save_tensor(dir + "/" + file, field);
+      testing::write_ptt1(dir + "/" + file, field);
     } else {
       std::snprintf(file, sizeof(file), "step_%04zu.ptb", t);
       run_ranks(2, [&](mps::Comm& comm) {
@@ -208,7 +207,7 @@ TEST(TimestepReader, DetectsRewrittenStepUnderLiveReader) {
   Tensor changed(dims);
   changed.fill_from(
       [&](std::span<const std::size_t> idx) { return step_value(idx, 99); });
-  tensor::save_tensor(reader.step_path(0), changed);
+  testing::write_ptt1(reader.step_path(0), changed);
 
   const Tensor after = reader.read_step(0, all);
   EXPECT_EQ(reader.file_opens(), opens_before + 1)
@@ -226,7 +225,7 @@ TEST(TimestepReader, DetectsRewrittenStepUnderLiveReader) {
 
   // A rewrite that changes the dims is a hard error, not silent corruption.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  tensor::save_tensor(reader.step_path(0), Tensor(Dims{5, 3, 2}, 1.0));
+  testing::write_ptt1(reader.step_path(0), Tensor(Dims{5, 3, 2}, 1.0));
   EXPECT_THROW((void)reader.read_step(0, all), InvalidArgument);
   std::filesystem::remove_all(dir);
 }
@@ -238,8 +237,8 @@ TEST(TimestepReader, RejectsMixedDimsAndEmptyDirs) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   EXPECT_THROW((void)pario::TimestepReader(dir), InvalidArgument);
-  tensor::save_tensor(dir + "/a.ptt", Tensor(Dims{4, 3}, 1.0));
-  tensor::save_tensor(dir + "/b.ptt", Tensor(Dims{4, 4}, 1.0));
+  testing::write_ptt1(dir + "/a.ptt", Tensor(Dims{4, 3}, 1.0));
+  testing::write_ptt1(dir + "/b.ptt", Tensor(Dims{4, 4}, 1.0));
   EXPECT_THROW((void)pario::TimestepReader(dir), InvalidArgument);
   fs::remove_all(dir);
 }

@@ -37,7 +37,7 @@ TEST(RandomizedRoute, Eq3BoundMatchesSequentialOracleOnRaggedDims) {
 
   core::seq::SeqOptions seq_opts;
   seq_opts.epsilon = eps;
-  seq_opts.method = core::seq::FactorMethod::Randomized;
+  seq_opts.route = core::FactorRoute::Randomized;
   const Tensor global = data::make_low_rank_seq(dims, Dims{5, 4, 3}, 7, 0.01);
   const auto ref = core::seq::seq_st_hosvd(global, seq_opts);
   EXPECT_TRUE(ref.downgrades.empty());
@@ -231,24 +231,24 @@ TEST(RandomizedRoute, EpsTailFallbackToGramIsRecorded) {
   });
 }
 
-/// Satellite fix: the sequential oracle's SvdQr -> GramEig downgrade on a
-/// non-wide unfolding is now recorded, not silent.
+/// The sequential oracle's Tsqr -> Gram downgrade on a non-wide unfolding
+/// is recorded, not silent.
 TEST(RandomizedRoute, SeqSvdQrDowngradeIsRecorded) {
   const Tensor x = Tensor::randn(Dims{16, 2, 2}, 21);
   core::seq::SeqOptions opts;
   opts.epsilon = 0.3;
-  opts.method = core::seq::FactorMethod::SvdQr;
+  opts.route = core::FactorRoute::Tsqr;
   const auto got = core::seq::seq_st_hosvd(x, opts);
   // Mode 0's unfolding is 16 x 4 — not wide, so the QR route is undefined
-  // and the Gram route runs instead; modes 1 and 2 are wide and keep SvdQr.
+  // and the Gram route runs instead; modes 1 and 2 are wide and keep Tsqr.
   ASSERT_EQ(got.downgrades.size(), 1u);
   EXPECT_EQ(got.downgrades[0].mode, 0);
-  EXPECT_EQ(got.downgrades[0].requested, core::seq::FactorMethod::SvdQr);
-  EXPECT_EQ(got.downgrades[0].used, core::seq::FactorMethod::GramEig);
+  EXPECT_EQ(got.downgrades[0].requested, core::FactorRoute::Tsqr);
+  EXPECT_EQ(got.downgrades[0].used, core::FactorRoute::Gram);
   EXPECT_FALSE(got.downgrades[0].reason.empty());
-  EXPECT_EQ(got.mode_methods[0], core::seq::FactorMethod::GramEig);
-  EXPECT_EQ(got.mode_methods[1], core::seq::FactorMethod::SvdQr);
-  EXPECT_EQ(got.mode_methods[2], core::seq::FactorMethod::SvdQr);
+  EXPECT_EQ(got.mode_routes[0], core::FactorRoute::Gram);
+  EXPECT_EQ(got.mode_routes[1], core::FactorRoute::Tsqr);
+  EXPECT_EQ(got.mode_routes[2], core::FactorRoute::Tsqr);
 }
 
 /// The sequential randomized route uses the same recorded-downgrade
@@ -257,14 +257,14 @@ TEST(RandomizedRoute, SeqSketchFallbackIsRecorded) {
   const Tensor x = Tensor::randn(Dims{20, 8, 8}, 33);
   core::seq::SeqOptions opts;
   opts.epsilon = 1e-4;
-  opts.method = core::seq::FactorMethod::Randomized;
+  opts.route = core::FactorRoute::Randomized;
   opts.sketch.rank_guess = 3;
   opts.sketch.oversample = 2;
   const auto got = core::seq::seq_st_hosvd(x, opts);
   ASSERT_FALSE(got.downgrades.empty());
   EXPECT_EQ(got.downgrades[0].requested,
-            core::seq::FactorMethod::Randomized);
-  EXPECT_EQ(got.downgrades[0].used, core::seq::FactorMethod::GramEig);
+            core::FactorRoute::Randomized);
+  EXPECT_EQ(got.downgrades[0].used, core::FactorRoute::Gram);
   const double err = core::seq::seq_normalized_error(
       x, core::seq::seq_reconstruct(got.tucker));
   EXPECT_LE(err, opts.epsilon);

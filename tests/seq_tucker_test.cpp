@@ -7,7 +7,6 @@
 namespace ptucker {
 namespace {
 
-using core::seq::FactorMethod;
 using core::seq::SeqOptions;
 using tensor::Dims;
 using tensor::Tensor;
@@ -32,23 +31,6 @@ TEST(SeqSthosvd, ErrorBoundHolds) {
   EXPECT_LE(core::seq::seq_normalized_error(x, xt), 0.25 * 1.0000001);
 }
 
-TEST(SeqSthosvd, GramAndJacobiMethodsAgree) {
-  const Tensor x =
-      data::make_low_rank_seq(Dims{7, 6, 5}, Dims{3, 2, 2}, 5, 0.05);
-  SeqOptions gram_opts;
-  gram_opts.epsilon = 1e-3;
-  SeqOptions jac_opts = gram_opts;
-  jac_opts.method = FactorMethod::GramJacobi;
-  const auto a = core::seq::seq_st_hosvd(x, gram_opts);
-  const auto b = core::seq::seq_st_hosvd(x, jac_opts);
-  EXPECT_EQ(a.tucker.core.dims(), b.tucker.core.dims());
-  const double err_a = core::seq::seq_normalized_error(
-      x, core::seq::seq_reconstruct(a.tucker));
-  const double err_b = core::seq::seq_normalized_error(
-      x, core::seq::seq_reconstruct(b.tucker));
-  EXPECT_NEAR(err_a, err_b, 1e-8);
-}
-
 TEST(SeqSthosvd, SvdQrMethodAgreesWithGramRoute) {
   // The Sec. IX Gram-free path must yield the same subspaces and errors in
   // well-conditioned settings.
@@ -57,7 +39,7 @@ TEST(SeqSthosvd, SvdQrMethodAgreesWithGramRoute) {
   SeqOptions gram_opts;
   gram_opts.epsilon = 1e-3;
   SeqOptions qr_opts = gram_opts;
-  qr_opts.method = FactorMethod::SvdQr;
+  qr_opts.route = core::FactorRoute::Tsqr;
   const auto a = core::seq::seq_st_hosvd(x, gram_opts);
   const auto b = core::seq::seq_st_hosvd(x, qr_opts);
   EXPECT_EQ(a.tucker.core.dims(), b.tucker.core.dims());

@@ -1,11 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <sstream>
-
 #include "dist/dist_tensor.hpp"
 #include "tensor/tensor.hpp"
-#include "tensor/tensor_io.hpp"
 #include "test_utils.hpp"
 
 namespace ptucker {
@@ -112,31 +108,6 @@ TEST(UnfoldShape, PartitionsDims) {
   }
   EXPECT_EQ(tensor::unfold_shape(dims, 0).left, 1u);
   EXPECT_EQ(tensor::unfold_shape(dims, 3).right, 1u);
-}
-
-TEST(TensorIo, StreamRoundTrip) {
-  const Tensor t = Tensor::randn(Dims{3, 4, 2}, 99);
-  std::stringstream ss;
-  tensor::write_tensor(ss, t);
-  const Tensor u = tensor::read_tensor(ss);
-  EXPECT_EQ(u.dims(), t.dims());
-  EXPECT_EQ(testing::max_diff(t, u), 0.0);
-}
-
-TEST(TensorIo, FileRoundTrip) {
-  const auto path = std::filesystem::temp_directory_path() /
-                    "ptucker_tensor_io_test.bin";
-  const Tensor t = Tensor::randn(Dims{2, 3}, 5);
-  tensor::save_tensor(path.string(), t);
-  const Tensor u = tensor::load_tensor(path.string());
-  EXPECT_EQ(testing::max_diff(t, u), 0.0);
-  std::filesystem::remove(path);
-}
-
-TEST(TensorIo, BadMagicRejected) {
-  std::stringstream ss;
-  ss << "GARBAGE";
-  EXPECT_THROW((void)tensor::read_tensor(ss), InvalidArgument);
 }
 
 TEST(Matrix, TransposedAndBlocks) {

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <span>
 #include <string>
@@ -167,6 +169,28 @@ inline tensor::Matrix per_slice_cross_gram(const tensor::Tensor& y,
                c.data(), sy.mid);
   }
   return c;
+}
+
+/// Path of the checked-in fixture \p name under tests/data.
+inline std::string test_data_path(const char* name) {
+  return (std::filesystem::path(__FILE__).parent_path() / "data" / name)
+      .string();
+}
+
+/// Write \p t as a legacy PTT1 dense tensor file (docs/FORMATS.md):
+///   "PTT1" | u64 order N | u64 dims[N] | f64 data (first-index-fastest).
+/// The library only reads PTT1; tests use this to produce legacy inputs.
+inline void write_ptt1(const std::string& path, const tensor::Tensor& t) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  auto put_u64 = [&](std::uint64_t v) {
+    os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  os.write("PTT1", 4);
+  put_u64(static_cast<std::uint64_t>(t.order()));
+  for (int n = 0; n < t.order(); ++n) put_u64(t.dim(n));
+  os.write(reinterpret_cast<const char*>(t.data()),
+           static_cast<std::streamsize>(t.size() * sizeof(double)));
+  ASSERT_TRUE(os.good()) << "cannot write " << path;
 }
 
 /// Pretty parameter names for grids/dims in parameterized tests.
