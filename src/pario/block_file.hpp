@@ -73,8 +73,9 @@ void write_dist_tensor(const std::string& path, const dist::DistTensor& x);
 
 /// Collective: build a DistTensor on \p grid from a PTB1/PTT1 file. Every
 /// rank preads exactly its own block — one contiguous read when the file
-/// was written on the same grid, otherwise the runs intersecting the
-/// writer's blocks (redistribution). Zero messages, no barriers.
+/// was written on the same grid, otherwise the writer blocks it covers
+/// (in chunks of at most 1 MiB) and the mode-0 runs of those it only cuts
+/// (redistribution). Zero messages, no barriers.
 [[nodiscard]] dist::DistTensor read_dist_tensor(
     std::shared_ptr<mps::CartGrid> grid, const std::string& path);
 

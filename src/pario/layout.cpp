@@ -1,5 +1,6 @@
 #include "pario/layout.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "obs/registry.hpp"
@@ -25,6 +26,10 @@ int grid_size(const std::vector<int>& grid) {
   for (int e : grid) p *= e;
   return p;
 }
+
+/// Largest coalesced pread of a covered block: whole mode-0 runs up to this
+/// many bytes (or one run, if a single run is longer).
+constexpr std::size_t kReadChunkBytes = std::size_t{1} << 20;
 
 struct CrcCounters {
   obs::Counter checked;
@@ -109,6 +114,7 @@ tensor::Tensor read_blocked_ranges(const File& file, const tensor::Dims& dims,
   tensor::Tensor out(out_dims);
   if (out.size() == 0) return out;
 
+  std::vector<double> chunk;  // reused by every covered block
   const int p = grid_size(grid);
   for (int b = 0; b < p; ++b) {
     const std::vector<util::Range> block = block_ranges(dims, grid, b);
@@ -155,15 +161,22 @@ tensor::Tensor read_blocked_ranges(const File& file, const tensor::Dims& dims,
       os *= out_dims[n];
     }
 
-    // pread every mode-0 run of the intersection straight into `out`.
-    // Over a fully covered block the runs visit the block's bytes exactly
-    // in order, so the stored CRC can be accumulated run by run.
+    // Walk the mode-0 runs of the intersection. A partially covered block
+    // is pread run by run straight into `out`. A covered block is contiguous
+    // in the file and its runs come in file order, so it is pread in chunks
+    // of whole runs, each checksummed while hot and then copied run by run.
     const std::size_t run = is[0].size();
+    const std::size_t run_bytes = run * sizeof(double);
     std::uint64_t src0 = is[0].lo - block[0].lo;
     std::uint64_t dst0 = is[0].lo - ranges[0].lo;
     std::vector<std::size_t> idx(order, 0);  // tail index within is[1..]
     std::size_t runs = 1;
     for (std::size_t n = 1; n < order; ++n) runs *= is[n].size();
+    const std::size_t chunk_runs =
+        std::min(runs, std::max<std::size_t>(1, kReadChunkBytes / run_bytes));
+    if (covered && chunk.size() < chunk_runs * run) {
+      chunk.resize(chunk_runs * run);
+    }
     std::uint32_t crc = 0;
     for (std::size_t r = 0; r < runs; ++r) {
       std::uint64_t src = src0;
@@ -172,10 +185,17 @@ tensor::Tensor read_blocked_ranges(const File& file, const tensor::Dims& dims,
         src += (is[n].lo - block[n].lo + idx[n]) * bstride[n];
         dst += (is[n].lo - ranges[n].lo + idx[n]) * ostride[n];
       }
-      file.read_at(block_base + src * sizeof(double), out.data() + dst,
-                   run * sizeof(double));
-      if (verify) {
-        crc = util::crc32c(crc, out.data() + dst, run * sizeof(double));
+      if (!covered) {
+        file.read_at(block_base + src * sizeof(double), out.data() + dst,
+                     run_bytes);
+      } else {
+        const std::size_t k = r % chunk_runs;
+        if (k == 0) {
+          const std::size_t bytes = std::min(chunk_runs, runs - r) * run_bytes;
+          file.read_at(block_base + src * sizeof(double), chunk.data(), bytes);
+          if (verify) crc = util::crc32c(crc, chunk.data(), bytes);
+        }
+        std::memcpy(out.data() + dst, chunk.data() + k * run, run_bytes);
       }
       for (std::size_t n = 1; n < order; ++n) {
         if (++idx[n] < is[n].size()) break;

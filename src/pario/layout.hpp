@@ -39,15 +39,17 @@ namespace ptucker::pario::detail {
     std::uint64_t base);
 
 /// Read the hyper-rectangle \p ranges of the global tensor out of a blocked
-/// layout via positioned reads only: for every block intersecting the
-/// request, the mode-0 runs of the intersection are pread directly into the
-/// result tensor. A request matching one block exactly is a single pread.
+/// layout via positioned reads only. A request matching one block exactly
+/// is a single pread into the result. A block the request fully covers is
+/// contiguous in the file and is pread front to back in chunks of whole
+/// mode-0 runs (at most 1 MiB each, or one longer run), whose runs are then
+/// copied into the result. A block the request only partially intersects is
+/// read one mode-0 run at a time, straight into the result.
 ///
 /// \p block_crcs (one stored CRC32C per block, from a version-2 header)
 /// arms verification: any block *fully covered* by the request has its
-/// checksum accumulated across the runs as they are pread (run order over a
-/// covered block is exactly the block's byte order) and mismatches throw
-/// ChecksumError naming the file, block, and byte offset. Blocks only
+/// checksum accumulated across the chunks as they are pread and mismatches
+/// throw ChecksumError naming the file, block, and byte offset. Blocks only
 /// partially intersected by a redistribution read cannot be verified this
 /// way and are passed through unchecked — grid-matched reads (the serve
 /// path, local reconstruction) always cover whole blocks and are always

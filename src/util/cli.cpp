@@ -57,7 +57,7 @@ void ArgParser::parse(int argc, char** argv) {
     auto it = options_.find(name);
     PT_REQUIRE(it != options_.end(), "unknown option '--" << name << "'");
     if (it->second.kind == Kind::Flag) {
-      it->second.value = "1";
+      it->second.value.assign(1, '1');
       continue;
     }
     if (has_inline) {

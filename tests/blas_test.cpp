@@ -52,11 +52,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(128, 12, 4), std::make_tuple(2, 130, 70),
                       std::make_tuple(150, 150, 150),
                       std::make_tuple(260, 7, 300)),
-    [](const auto& info) {
-      return "m" + std::to_string(std::get<0>(info.param)) + "n" +
-             std::to_string(std::get<1>(info.param)) + "k" +
-             std::to_string(std::get<2>(info.param));
-    });
+    [](const auto& info) { return testing::tagged_name("mnk", info.param); });
 
 TEST_P(GemmShapes, AllTransposeCombosMatchReference) {
   const auto [mi, ni, ki] = GetParam();
@@ -377,12 +373,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(130, 3, 70, 3),
                       std::make_tuple(12, 19, 260, 2),
                       std::make_tuple(7, 30, 11, 1)),
-    [](const auto& info) {
-      return "m" + std::to_string(std::get<0>(info.param)) + "n" +
-             std::to_string(std::get<1>(info.param)) + "k" +
-             std::to_string(std::get<2>(info.param)) + "b" +
-             std::to_string(std::get<3>(info.param));
-    });
+    [](const auto& info) { return testing::tagged_name("mnkb", info.param); });
 
 TEST_P(BatchShapes, StridedBatchMatchesPerItemLoop) {
   const auto [mi, ni, ki, bi] = GetParam();
@@ -449,10 +440,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(33, 29), std::make_tuple(40, 21),
                       std::make_tuple(129, 257), std::make_tuple(7, 300),
                       std::make_tuple(150, 70)),
-    [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "k" +
-             std::to_string(std::get<1>(info.param));
-    });
+    [](const auto& info) { return testing::tagged_name("nk", info.param); });
 
 TEST_P(SyrkShapes, PackedLowerMatchesReferenceAndLeavesUpperUntouched) {
   const auto [ni, ki] = GetParam();

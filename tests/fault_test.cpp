@@ -36,6 +36,7 @@ namespace {
 using dist::DistTensor;
 using tensor::Dims;
 using tensor::Tensor;
+using testing::counter_value;
 using testing::run_ranks;
 
 std::string temp_path(const char* name) {
@@ -55,10 +56,6 @@ class RetryPolicyGuard {
  private:
   pario::RetryPolicy saved_;
 };
-
-std::uint64_t counter_value(const char* name) {
-  return obs::registry().counter(name).value();
-}
 
 void flip_byte(const std::string& path, std::uint64_t offset) {
   std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
@@ -210,8 +207,8 @@ TEST(FaultInjection, InjectedBitFlipsRaiseChecksumErrorAcrossSeeds) {
   const std::string path = temp_path("ptucker_fault_bitflip.ptb");
   const Dims dims{8, 6, 5};
   // Single-block file: the payload reads back as one 1920-byte pread, well
-  // past bitflip_min_bytes (a multi-block layout would read in small runs
-  // that the min-bytes gate exempts).
+  // past bitflip_min_bytes (a partially covered block would read in small
+  // runs that the min-bytes gate exempts).
   run_ranks(1, [&](mps::Comm& comm) {
     auto grid = dist::make_grid(comm, {1, 1, 1});
     DistTensor x(grid, dims);

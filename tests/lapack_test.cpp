@@ -61,7 +61,8 @@ class EigSizes : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(Sizes, EigSizes,
                          ::testing::Values(1, 2, 3, 5, 8, 20, 64, 150),
                          [](const auto& info) {
-                           return "n" + std::to_string(info.param);
+                           return testing::tagged_name(
+                               "n", std::tuple{info.param});
                          });
 
 TEST_P(EigSizes, RandomSymmetricEigenpairsValid) {

@@ -21,7 +21,8 @@ class Collectives : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(AllSizes, Collectives,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 13),
                          [](const auto& info) {
-                           return "P" + std::to_string(info.param);
+                           return testing::tagged_name(
+                               "P", std::tuple{info.param});
                          });
 
 /// Deterministic per-rank payload for reference computations.

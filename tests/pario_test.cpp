@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -19,6 +20,7 @@ using core::TuckerTensor;
 using dist::DistTensor;
 using tensor::Dims;
 using tensor::Tensor;
+using testing::counter_value;
 using testing::run_ranks;
 
 std::string temp_path(const char* name) {
@@ -106,6 +108,102 @@ TEST(ParIo, RedistributesAcrossGridsAndRankCounts) {
     const DistTensor y = pario::read_dist_tensor(grid, path);
     EXPECT_EQ(testing::max_diff(reference, y.local()), 0.0);
   });
+  std::filesystem::remove(path);
+}
+
+// A read that fully covers a writer block without being exactly that block
+// preads the block front to back in chunks of at most 1 MiB of whole mode-0
+// runs, verifying its CRC across the chunks. The 96 x 96 x 16 blocks here
+// are 1.125 MiB each, so every block spans two chunks.
+TEST(ParIo, CoveredBlocksReadInBoundedChunksWithVerifiedCrc) {
+  const std::string path = temp_path("ptucker_ptb_chunked.ptb");
+  const Dims dims{192, 192, 16};
+  const std::vector<int> writer_grid{2, 2, 1};
+  const auto field = testing::splitmix_field(91);
+  run_ranks(4, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, writer_grid);
+    DistTensor x(grid, dims);
+    x.fill_global(field);
+    pario::write_dist_tensor(path, x);
+  });
+  Tensor reference(dims);
+  reference.fill_from(field);
+  const std::uint64_t block_bytes = sizeof(double) * 96 * 96 * 16;
+  const std::uint64_t chunk = std::uint64_t{1} << 20;
+  const std::uint64_t chunks_per_block = (block_bytes + chunk - 1) / chunk;
+  ASSERT_EQ(chunks_per_block, 2u);
+
+  // One rank: every block is covered, none is the whole request.
+  const std::uint64_t reads0 = counter_value("pario.reads");
+  (void)pario::BlockFile::open(path);
+  const std::uint64_t header_reads = counter_value("pario.reads") - reads0;
+  const std::uint64_t reads1 = counter_value("pario.reads");
+  run_ranks(1, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {1, 1, 1});
+    const DistTensor y = pario::read_dist_tensor(grid, path);
+    EXPECT_EQ(testing::max_diff(y.local(), reference), 0.0);
+  });
+  if constexpr (obs::kEnabled) {
+    EXPECT_LE(counter_value("pario.reads") - reads1,
+              header_reads + 4 * chunks_per_block);
+  }
+
+  // Two ranks on 1x2x1: each rank covers the two writer blocks of its
+  // mode-1 half and skips the other two.
+  run_ranks(2, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {1, 2, 1});
+    const DistTensor y = pario::read_dist_tensor(grid, path);
+    DistTensor expect(grid, dims);
+    expect.fill_global(field);
+    EXPECT_EQ(testing::max_diff(y.local(), expect.local()), 0.0);
+  });
+
+  // A box that covers blocks 0 and 1 and cuts through blocks 2 and 3 takes
+  // the chunked and the per-run path in one read.
+  {
+    const pario::BlockFile file = pario::BlockFile::open(path);
+    const std::vector<util::Range> box{{0, 192}, {0, 150}, {0, 16}};
+    const Tensor got = file.read_ranges(box);
+    Tensor want(Dims{192, 150, 16});
+    for (std::size_t k = 0; k < 16; ++k) {
+      for (std::size_t j = 0; j < 150; ++j) {
+        std::memcpy(want.data() + 192 * (j + 150 * k),
+                    reference.data() + 192 * (j + 192 * k),
+                    192 * sizeof(double));
+      }
+    }
+    EXPECT_EQ(testing::max_diff(got, want), 0.0);
+  }
+
+  // One flipped byte in the second chunk of block 2 fails that block's CRC.
+  const std::uint64_t block2 =
+      std::filesystem::file_size(path) - 2 * block_bytes;
+  const std::uint64_t run_bytes = 96 * sizeof(double);
+  const std::uint64_t second_chunk = chunk / run_bytes * run_bytes;
+  {
+    std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
+    const auto at = static_cast<std::streamoff>(block2 + second_chunk + 100);
+    fs.seekg(at);
+    char byte = 0;
+    fs.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x10);
+    fs.seekp(at);
+    fs.write(&byte, 1);
+  }
+  const std::uint64_t failures0 = counter_value("pario.crc_failures");
+  run_ranks(1, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {1, 1, 1});
+    try {
+      (void)pario::read_dist_tensor(grid, path);
+      FAIL() << "a corrupted covered block read back silently";
+    } catch (const ChecksumError& e) {
+      EXPECT_NE(std::string(e.what()).find("block 2 "), std::string::npos)
+          << e.what();
+    }
+  });
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(counter_value("pario.crc_failures") - failures0, 1u);
+  }
   std::filesystem::remove(path);
 }
 

@@ -285,6 +285,26 @@ TEST(Serve, ColdAndWarmAnswersBitMatch) {
   EXPECT_EQ(std::memcmp(cold.data(), warm.data(),
                         cold.size() * sizeof(double)),
             0);
+
+  // An entry load (what a cache miss runs) reads each core block of the
+  // 2-rank writer in one pread, not one per mode-0 run. A grid-matched
+  // 2-rank load parses the same header on both ranks and preads one block
+  // each, which prices the header: (reads - 2) / 2.
+  if constexpr (obs::kEnabled) {
+    const pario::ArchiveReader reader(path);
+    const auto reads = [] { return testing::counter_value("pario.reads"); };
+    const std::uint64_t dist0 = reads();
+    run_ranks(2, [&](mps::Comm& comm) {
+      auto grid = dist::make_grid(comm, {2, 1, 1, 1});
+      EXPECT_GT(reader.read_entry(0, grid).core.local().size(), 0u);
+    });
+    const std::uint64_t header_reads = (reads() - dist0 - 2) / 2;
+    const std::uint64_t local0 = reads();
+    const pario::LocalModelData md = reader.read_entry_local(0);
+    const std::uint64_t core_bytes = md.core.size() * sizeof(double);
+    ASSERT_LT(core_bytes, std::uint64_t{1} << 20);  // one chunk per block
+    EXPECT_LE(reads() - local0, header_reads + 2);
+  }
   std::filesystem::remove(path);
 }
 

@@ -13,10 +13,12 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "blas/blas.hpp"
 #include "mps/runtime.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/tensor.hpp"
@@ -61,6 +63,12 @@ inline std::size_t count_spans(const std::vector<obs::TraceEvent>& events,
       events.begin(), events.end(), [&](const obs::TraceEvent& e) {
         return name == e.name && e.rank == rank && e.arg == arg;
       }));
+}
+
+/// Current value of the registry counter \p name (0 when built with
+/// PTUCKER_OBS=OFF).
+inline std::uint64_t counter_value(const char* name) {
+  return obs::registry().counter(name).value();
 }
 
 /// Max |a - b| over two equal-sized buffers.
@@ -200,6 +208,23 @@ inline std::string shape_name(const std::vector<int>& shape) {
     if (i > 0) s += "x";
     s += std::to_string(shape[i]);
   }
+  return s;
+}
+
+/// Parameter name from one tag character per value:
+/// tagged_name("mnk", std::tuple{4, 8, 16}) == "m4n8k16". Built by
+/// appending; GCC 12 reports a false -Wrestrict on `"m" + std::to_string(..)`
+/// chains once they are inlined.
+template <typename... Ts>
+std::string tagged_name(std::string_view tags,
+                        const std::tuple<Ts...>& values) {
+  std::string s;
+  std::size_t i = 0;
+  std::apply(
+      [&](const auto&... v) {
+        ((s += tags[i++], s += std::to_string(v)), ...);
+      },
+      values);
   return s;
 }
 

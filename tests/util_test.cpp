@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <set>
 
 #include "util/blocks.hpp"
 #include "util/cli.hpp"
+#include "util/crc32c.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -160,6 +163,65 @@ TEST(ErrorMacros, MessageContainsContext) {
     const std::string what = e.what();
     EXPECT_NE(what.find("value was 7"), std::string::npos);
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
+  }
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<unsigned char> v(n);
+  for (auto& b : v) b = static_cast<unsigned char>(rng.engine()() & 0xFFu);
+  return v;
+}
+
+TEST(Crc32c, MatchesRfc3720AndStandardVectors) {
+  const std::string digits = "123456789";
+  std::vector<unsigned char> zeros(32, 0x00);
+  std::vector<unsigned char> ones(32, 0xFF);
+  std::vector<unsigned char> up(32);
+  std::iota(up.begin(), up.end(), static_cast<unsigned char>(0));
+  const std::vector<unsigned char> down(up.rbegin(), up.rend());
+  for (auto* f : {&util::crc32c, &util::detail::crc32c_portable}) {
+    EXPECT_EQ(f(0, digits.data(), digits.size()), 0xE3069283u);
+    EXPECT_EQ(f(0, zeros.data(), zeros.size()), 0x8A9136AAu);
+    EXPECT_EQ(f(0, ones.data(), ones.size()), 0x62A8AB43u);
+    EXPECT_EQ(f(0, up.data(), up.size()), 0x46DD794Eu);
+    EXPECT_EQ(f(0, down.data(), down.size()), 0x113FDB5Cu);
+    EXPECT_EQ(f(0, nullptr, 0), 0u);
+  }
+}
+
+TEST(Crc32c, ComposesAtEverySplitPoint) {
+  const auto buf = random_bytes(1024, 11);
+  const std::uint32_t whole = util::crc32c(0, buf.data(), buf.size());
+  for (std::size_t k = 0; k <= buf.size(); ++k) {
+    const std::uint32_t head = util::crc32c(0, buf.data(), k);
+    EXPECT_EQ(util::crc32c(head, buf.data() + k, buf.size() - k), whole)
+        << "split at " << k;
+  }
+}
+
+TEST(Crc32c, EveryStartOffsetAndShortLengthMatchesPortable) {
+  const auto buf = random_bytes(16 + 64, 12);
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(util::crc32c(0, buf.data() + off, len),
+                util::detail::crc32c_portable(0, buf.data() + off, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32c, MatchesPortableOnRandomBuffersUpTo64KiB) {
+  util::Rng sizes(13);
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    const std::size_t n =
+        seed == 0 ? std::size_t{64} << 10
+                  : static_cast<std::size_t>(sizes.index((64u << 10) + 1));
+    const auto buf = random_bytes(n, 100 + seed);
+    const auto crc0 = static_cast<std::uint32_t>(seed * 0x9E3779B9u);
+    EXPECT_EQ(util::crc32c(crc0, buf.data(), n),
+              util::detail::crc32c_portable(crc0, buf.data(), n))
+        << "seed " << seed << " length " << n;
   }
 }
 
