@@ -1,10 +1,8 @@
 /// \file ablate_io_paths.cpp
-/// \brief The three ways to move a distributed tensor to and from disk:
-///   root-funnel : gather/scatter through rank 0 with the flat direct-send
-///                 loops (the seed behaviour); rank 0 alone writes and reads
-///                 the whole tensor as a single-block PTB1
-///   tree        : same funnel, but binomial-tree gather/scatter
-///                 (O(log P) root latency instead of O(P))
+/// \brief The two ways to move a distributed tensor to and from disk:
+///   root-funnel : binomial-tree gather/scatter through rank 0 (O(log P)
+///                 root latency); rank 0 alone writes and reads the whole
+///                 tensor as a single-block PTB1
 ///   parallel    : the PTB1 chunked container — every rank pread/pwrites
 ///                 its own block, zero inter-rank data movement
 /// TuckerMPI (Ballard, Klinvex, Kolda 2019) made exactly this layer
@@ -36,7 +34,7 @@ struct PathResult {
 
 int main(int argc, char** argv) {
   util::ArgParser args("ablate_io_paths",
-                       "root-funnel vs tree vs parallel-chunk tensor IO");
+                       "root-funnel vs parallel-chunk tensor IO");
   args.add_int("dim", 48, "extent of every mode (order-3 tensor)");
   args.add_int("ranks", 4, "number of (thread) ranks");
   args.add_int("reps", 3, "write+read repetitions per path");
@@ -72,14 +70,14 @@ int main(int argc, char** argv) {
   const std::string funnel_file = tmp_path("ptucker_io_funnel.ptb");
   const std::string chunk_file = tmp_path("ptucker_io_chunk.ptb");
 
-  auto run_funnel = [&](mps::RootedAlgo algo) {
+  auto run_funnel = [&] {
     PathResult res;
     rt.reset_stats();
     rt.run([&](mps::Comm& comm) {
       auto& x = xs[static_cast<std::size_t>(comm.rank())];
       const double tw = bench::time_region(comm, [&] {
         for (int r = 0; r < reps; ++r) {
-          tensor::Tensor global = x.gather(0, algo);
+          tensor::Tensor global = x.gather(0);
           if (comm.rank() == 0) {
             dist::DistTensor whole(root_grid, dims);
             whole.local() = std::move(global);
@@ -96,7 +94,7 @@ int main(int argc, char** argv) {
                 pario::read_dist_tensor(root_grid, funnel_file).local());
           }
           const dist::DistTensor y =
-              dist::DistTensor::scatter(x.grid_ptr(), global, 0, algo);
+              dist::DistTensor::scatter(x.grid_ptr(), global, 0);
           PT_CHECK(y.local().size() == x.local().size(), "bad round trip");
         }
       });
@@ -137,8 +135,7 @@ int main(int argc, char** argv) {
     return res;
   };
 
-  const PathResult flat = run_funnel(mps::RootedAlgo::Flat);
-  const PathResult tree = run_funnel(mps::RootedAlgo::Tree);
+  const PathResult tree = run_funnel();
   const PathResult chunk = run_parallel();
 
   util::Table table({"path", "write(s)", "read(s)", "words/rank(max)",
@@ -148,18 +145,16 @@ int main(int argc, char** argv) {
                    util::Table::fmt(r.read_s, 4), util::Table::fmt(r.words, 0),
                    std::to_string(r.msgs)});
   };
-  row("root-funnel(flat)", flat);
   row("root-funnel(tree)", tree);
   row("parallel-chunk", chunk);
   std::printf("%s", table.str().c_str());
-  std::printf("parallel-chunk vs flat funnel: write %.2fx, read %.2fx\n",
-              flat.write_s / chunk.write_s, flat.read_s / chunk.read_s);
+  std::printf("parallel-chunk vs tree funnel: write %.2fx, read %.2fx\n",
+              tree.write_s / chunk.write_s, tree.read_s / chunk.read_s);
   bench::paper_note(
       "TuckerMPI-style parallel IO: the chunked PTB1 container moves zero "
       "words between ranks (the residual messages are barrier tokens) and "
-      "removes the O(P) root latency and the full-tensor copy on rank 0; "
-      "the tree funnel keeps the root copy but cuts its latency to "
-      "O(log P).");
+      "removes the full-tensor copy on rank 0 and the funnel's O(log P) "
+      "root latency.");
 
   std::filesystem::remove(funnel_file);
   std::filesystem::remove(chunk_file);

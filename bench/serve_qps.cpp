@@ -99,7 +99,10 @@ ScenarioResult run_clients(const serve::QueryServer& server,
                            const std::vector<serve::Request>& qs,
                            std::size_t clients, bool via_executor,
                            std::vector<tensor::Tensor>* answers_out = nullptr) {
-  const serve::CacheCounters before = server.cache().counters();
+  obs::Counter lookups = obs::registry().counter("serve.cache.lookups");
+  obs::Counter hits = obs::registry().counter("serve.cache.hits");
+  const std::uint64_t lookups0 = lookups.value();
+  const std::uint64_t hits0 = hits.value();
   // Latencies go to the shared obs histogram (the same digest the server
   // exports for serve.query_us) AND to an exact per-thread list used to
   // cross-check the histogram's log-bucketed percentiles below.
@@ -176,16 +179,16 @@ ScenarioResult run_clients(const serve::QueryServer& server,
     }
   }
 
-  const serve::CacheCounters after = server.cache().counters();
-  const std::size_t lookups = after.lookups - before.lookups;
+  const std::uint64_t scenario_lookups = lookups.value() - lookups0;
   ScenarioResult r;
   r.p50_us = static_cast<double>(hist->percentile(50));
   r.p90_us = static_cast<double>(hist->percentile(90));
   r.p99_us = static_cast<double>(hist->percentile(99));
   r.qps = static_cast<double>(all.size()) / wall;  // completed queries only
-  r.hit_rate = lookups == 0 ? 0.0
-                            : static_cast<double>(after.hits - before.hits) /
-                                  static_cast<double>(lookups);
+  r.hit_rate = scenario_lookups == 0
+                   ? 0.0
+                   : static_cast<double>(hits.value() - hits0) /
+                         static_cast<double>(scenario_lookups);
   r.sheds = sheds.load();
   r.deadline_misses = deadline_misses.load();
   return r;
@@ -343,9 +346,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "serve smoke FAILED\n");
       return 1;
     }
-    if (obs::kEnabled &&
-        (!snap.counters.count("serve.queries") ||
-         snap.counters.at("serve.queries") < qs.size())) {
+    if (!snap.counters.count("serve.queries") ||
+        snap.counters.at("serve.queries") < qs.size()) {
       std::fprintf(stderr, "serve smoke FAILED: registry missed queries\n");
       return 1;
     }
@@ -398,16 +400,25 @@ int main(int argc, char** argv) {
   for (std::size_t w = 0; w < windows; ++w) {
     (void)server.time_range(0, w * window, w * window + 1);
   }
+  // Executor counts are registry deltas over this run; the peak-queue gauge
+  // is a process-wide high-water mark, and this is the first run here
+  // that submits.
+  obs::Counter waits = obs::registry().counter("serve.exec.admission_waits");
+  obs::Counter submitted = obs::registry().counter("serve.exec.submitted");
+  const std::uint64_t waits0 = waits.value();
+  const std::uint64_t submitted0 = submitted.value();
   const ScenarioResult r = run_clients(server, qs, max_clients, true);
-  const serve::ExecutorCounters ec = server.executor_counters();
   std::printf(
       "executor (%zu clients -> 4 workers, queue %zu%s): p50 %.1f us, "
-      "p99 %.1f us, %0.f qps, %zu/%zu submits blocked, peak queue %zu, "
+      "p99 %.1f us, %0.f qps, %llu/%llu submits blocked, peak queue %lld, "
       "%zu shed, %zu deadline misses\n",
       max_clients, exec_opts.queue_depth,
       exec_opts.shed_on_overload ? ", shedding" : "", r.p50_us, r.p99_us,
-      r.qps, ec.admission_waits, ec.submitted, ec.peak_queue, r.sheds,
-      r.deadline_misses);
+      r.qps, static_cast<unsigned long long>(waits.value() - waits0),
+      static_cast<unsigned long long>(submitted.value() - submitted0),
+      static_cast<long long>(
+          obs::registry().gauge("serve.exec.peak_queue").value()),
+      r.sheds, r.deadline_misses);
 
   bench::paper_note(
       "the paper's analysis workflow reconstructs only the requested "

@@ -20,8 +20,6 @@ struct HooiOptions {
   /// Stop early when relative error reaches this target (0 = disabled).
   double target_error = 0.0;
 
-  dist::TtmAlgo ttm_algo = dist::TtmAlgo::Auto;
-  dist::GramAlgo gram_algo = dist::GramAlgo::Auto;
   /// Route for the per-mode factor update: Gram + eig (paper default),
   /// Gram-free TSQR, the randomized sketch, or the per-mode cost-model
   /// choice. Works on any grid.

@@ -35,7 +35,7 @@ FactorRoute resolve_factor_route(FactorMethod method, const DistTensor& y,
       // eps leaves slack for the sketch residual. A tight eps would
       // routinely reject the sketch and pay for both routes.
       const bool sketch_eligible =
-          fixed_rank > 0 || epsilon >= sketch.auto_min_epsilon;
+          fixed_rank > 0 || epsilon >= dist::kSketchAutoMinEpsilon;
       if (sketch_eligible) {
         const std::size_t width =
             dist::sketch_width(y.global_dim(mode), fixed_rank, sketch);
@@ -116,7 +116,7 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
     if (route == FactorRoute::Tsqr) {
       factor = dist::factor_via_tsqr(y, n, select);
     } else if (route == FactorRoute::Gram) {
-      const dist::GramColumns s = dist::gram(y, n, options.gram_algo);
+      const dist::GramColumns s = dist::gram(y, n);
       factor = dist::eigenvectors(s, y.grid(), n, select);
     }
     result.mode_routes[static_cast<std::size_t>(n)] = route;
@@ -129,7 +129,7 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
         factor.eigenvalues;
 
     // Truncate: Y <- Y x_n U^T.
-    y = dist::ttm(y, factor.u.transposed(), n, options.ttm_algo);
+    y = dist::ttm(y, factor.u.transposed(), n);
     result.tucker.factors[static_cast<std::size_t>(n)] = std::move(factor.u);
   }
 

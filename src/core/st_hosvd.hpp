@@ -69,7 +69,7 @@ struct SketchTrace {
 /// Resolve the route for one mode of the working tensor: the explicit
 /// methods map one-to-one; Auto asks the cost model, considering the sketch
 /// only when selection is fixed-rank or eps is loose enough to leave the
-/// posteriori check headroom (sketch.auto_min_epsilon). \p fixed_rank is
+/// posteriori check headroom (dist::kSketchAutoMinEpsilon). \p fixed_rank is
 /// this mode's fixed target rank, or 0 for eps-driven selection.
 [[nodiscard]] FactorRoute resolve_factor_route(FactorMethod method,
                                                const DistTensor& y, int mode,
@@ -86,8 +86,6 @@ struct SthosvdOptions {
   ModeOrderStrategy order_strategy = ModeOrderStrategy::Natural;
   std::vector<int> custom_order;  ///< used when order_strategy == Custom
 
-  dist::TtmAlgo ttm_algo = dist::TtmAlgo::Auto;
-  dist::GramAlgo gram_algo = dist::GramAlgo::Auto;
   FactorMethod factor_method = FactorMethod::GramEig;
   /// Knobs for FactorMethod::Randomized (seed, oversampling, power
   /// iterations) and the Auto gate for it.

@@ -16,7 +16,7 @@ namespace ptucker::core {
 std::size_t pick_streaming_window(const tensor::Dims& step_dims,
                                   const std::vector<int>& spatial_grid,
                                   std::size_t max_window,
-                                  double memory_budget_doubles,
+                                  double budget_doubles,
                                   std::size_t num_steps) {
   PT_REQUIRE(spatial_grid.size() == step_dims.size(),
              "pick_streaming_window: grid/step order mismatch");
@@ -39,7 +39,7 @@ std::size_t pick_streaming_window(const tensor::Dims& step_dims,
       ranks[n] = std::max<std::size_t>(1, dims[n] / 2);
     }
     if (costmodel::memory_bound_per_rank(dims, ranks, grid) >
-        memory_budget_doubles) {
+        budget_doubles) {
       break;  // eq. 2 memory grows with w: larger windows cannot fit either
     }
     std::vector<int> order(dims.size());
@@ -75,8 +75,8 @@ StreamingCompressor::StreamingCompressor(mps::Comm& comm,
           ? std::min(opts_.window, reader_.num_steps())
           : pick_streaming_window(sdims, dist::default_grid_shape(
                                              comm.size(), sdims),
-                                  opts_.max_window,
-                                  opts_.memory_budget_doubles,
+                                  kMaxStreamingWindow,
+                                  kStreamingMemoryBudgetDoubles,
                                   reader_.num_steps());
   pario::archive_create(archive_path_, comm, sdims, opts_.species_mode,
                         opts_.archive_capacity);

@@ -31,16 +31,18 @@
 
 namespace ptucker::core {
 
+/// Cap on the automatic window choice.
+inline constexpr std::size_t kMaxStreamingWindow = 32;
+/// Per-rank working-set budget (doubles) for the automatic window choice
+/// (paper eq. 2 memory bound): ~0.8 GiB of doubles.
+inline constexpr double kStreamingMemoryBudgetDoubles = 1.0e8;
+
 struct StreamingOptions {
   /// Per-window compression options (epsilon is the per-entry eq. 3 bound).
   SthosvdOptions sthosvd;
-  /// Steps per window; 0 = pick from the cost model.
+  /// Steps per window; 0 = pick from the cost model (pick_streaming_window
+  /// with kMaxStreamingWindow and kStreamingMemoryBudgetDoubles).
   std::size_t window = 0;
-  /// Cap on the automatic window choice.
-  std::size_t max_window = 32;
-  /// Per-rank working-set budget (doubles) for the automatic choice
-  /// (paper eq. 2 memory bound). Default ~0.8 GiB of doubles.
-  double memory_budget_doubles = 1.0e8;
   /// Species mode of the step tensors; >= 0 enables per-window
   /// normalization, with the stats archived in each entry.
   int species_mode = -1;
@@ -64,7 +66,7 @@ struct StreamingOptions {
 /// streaming work.
 [[nodiscard]] std::size_t pick_streaming_window(
     const tensor::Dims& step_dims, const std::vector<int>& spatial_grid,
-    std::size_t max_window, double memory_budget_doubles,
+    std::size_t max_window, double budget_doubles,
     std::size_t num_steps);
 
 /// Collective driver of the compression side. Construct inside the SPMD

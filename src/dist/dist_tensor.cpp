@@ -72,8 +72,7 @@ std::vector<util::Range> DistTensor::block_ranges_of(int rank) const {
 }
 
 DistTensor DistTensor::scatter(const std::shared_ptr<mps::CartGrid>& grid,
-                               const tensor::Tensor& global, int root,
-                               mps::RootedAlgo algo) {
+                               const tensor::Tensor& global, int root) {
   PT_REQUIRE(grid != nullptr, "scatter: null grid");
   const mps::Comm& comm = grid->comm();
 
@@ -101,8 +100,7 @@ DistTensor DistTensor::scatter(const std::shared_ptr<mps::CartGrid>& grid,
                                                  sub.data() + sub.size());
     }
   }
-  const std::vector<double> mine =
-      mps::scatter_varied(comm, blocks, root, algo);
+  const std::vector<double> mine = mps::scatter_varied(comm, blocks, root);
   PT_CHECK(mine.size() == result.local_.size(),
            "scatter: block size mismatch");
   std::memcpy(result.local_.data(), mine.data(),
@@ -110,11 +108,11 @@ DistTensor DistTensor::scatter(const std::shared_ptr<mps::CartGrid>& grid,
   return result;
 }
 
-tensor::Tensor DistTensor::gather(int root, mps::RootedAlgo algo) const {
+tensor::Tensor DistTensor::gather(int root) const {
   PT_REQUIRE(grid_ != nullptr, "gather: invalid DistTensor");
   const mps::Comm& comm = grid_->comm();
-  const auto blocks = mps::gather_varied(
-      comm, std::span<const double>(local_.span()), root, algo);
+  const auto blocks =
+      mps::gather_varied(comm, std::span<const double>(local_.span()), root);
   if (comm.rank() != root) return {};
 
   tensor::Tensor global(global_dims_);

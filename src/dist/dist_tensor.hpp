@@ -36,19 +36,17 @@ class DistTensor {
   DistTensor(std::shared_ptr<mps::CartGrid> grid, tensor::Dims global_dims);
 
   /// Collective: distribute a global tensor living on \p root (ignored and
-  /// may be empty on other ranks) onto the grid. Uses the binomial-tree
-  /// scatter by default; Flat is the legacy direct-send root loop (kept for
-  /// the IO-path ablation). Prefer pario::read_dist_tensor when the data is
+  /// may be empty on other ranks) onto the grid through the binomial-tree
+  /// mps::scatter_varied. Prefer pario::read_dist_tensor when the data is
   /// on disk — it needs no root copy at all.
   [[nodiscard]] static DistTensor scatter(
       const std::shared_ptr<mps::CartGrid>& grid, const tensor::Tensor& global,
-      int root, mps::RootedAlgo algo = mps::RootedAlgo::Tree);
+      int root);
 
-  /// Collective: assemble the global tensor on \p root; other ranks get an
-  /// empty Tensor. Tree by default (see scatter); prefer
-  /// pario::write_dist_tensor when the target is a file.
-  [[nodiscard]] tensor::Tensor gather(
-      int root, mps::RootedAlgo algo = mps::RootedAlgo::Tree) const;
+  /// Collective: assemble the global tensor on \p root through the
+  /// binomial-tree mps::gather_varied; other ranks get an empty Tensor.
+  /// Prefer pario::write_dist_tensor when the target is a file.
+  [[nodiscard]] tensor::Tensor gather(int root) const;
 
   /// Deep copy (same grid, copied local block).
   [[nodiscard]] DistTensor clone() const { return *this; }

@@ -49,11 +49,12 @@ struct SketchOptions {
   /// Assumed target rank when selection is eps-driven (no fixed ranks);
   /// 0 = the Jn/4 heuristic. Ignored under fixed-rank selection.
   std::size_t rank_guess = 0;
-  /// FactorMethod::Auto considers the sketch only when the eps target is at
-  /// least this loose (tight targets would always trip the eps-tail
-  /// fallback and pay for both routes). Fixed-rank runs ignore it.
-  double auto_min_epsilon = 1e-6;
 };
+
+/// FactorMethod::Auto considers the sketch only when the eps target is at
+/// least this loose (tight targets would always trip the eps-tail fallback
+/// and pay for both routes). Fixed-rank runs ignore it.
+inline constexpr double kSketchAutoMinEpsilon = 1e-6;
 
 /// Sketch width for a mode of extent jn: target + oversample, clamped to
 /// jn. \p fixed_rank is the fixed target rank, or 0 for eps-driven

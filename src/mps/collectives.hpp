@@ -541,13 +541,6 @@ template <class T, class Op = Sum<T>>
 
 /// --- gather / scatter to or from a root ----------------------------------------
 
-/// Schedule for the rooted varied-size collectives. Tree (the default)
-/// forwards packed subtree payloads up/down a binomial tree, dropping the
-/// root's latency term from (P-1) alpha to ceil(log2 P) alpha at the price
-/// of relaying each word up to log2 P times; Flat is the direct-send
-/// root loop, kept for the IO-path ablation bench and as a test oracle.
-enum class RootedAlgo { Tree, Flat };
-
 namespace detail {
 /// Packed subtree payloads travel as records: u64 vrank | u64 bytes | bytes.
 inline void pack_record(std::vector<std::byte>& buf, std::uint64_t vrank,
@@ -578,34 +571,17 @@ inline void unpack_records(std::span<const std::byte> buf, int p,
 }  // namespace detail
 
 /// Gather variable-size contributions to the root. Returns per-rank
-/// payloads at the root; empty vector elsewhere.
+/// payloads at the root; empty vector elsewhere. This and scatter_varied
+/// forward packed subtree payloads up/down a binomial tree: the root's
+/// latency term is ceil(log2 P) alpha instead of a direct-send loop's
+/// (P-1) alpha, at the price of relaying each word up to log2 P times.
 template <class T>
 [[nodiscard]] std::vector<std::vector<T>> gather_varied(
-    const Comm& comm, std::span<const T> mine, int root,
-    RootedAlgo algo = RootedAlgo::Tree) {
+    const Comm& comm, std::span<const T> mine, int root) {
   const int p = comm.size();
   // Payload sizes legitimately differ per rank: fingerprint the op only.
   comm.note_collective(OpKind::Gather, 0);
   OpScope scope(OpKind::Gather);
-  if (algo == RootedAlgo::Flat) {
-    if (comm.rank() != root) {
-      comm.send(mine, root, detail::kTagGather);
-      return {};
-    }
-    std::vector<std::vector<T>> result(static_cast<std::size_t>(p));
-    for (int src = 0; src < p; ++src) {
-      if (src == root) {
-        result[static_cast<std::size_t>(src)].assign(mine.begin(), mine.end());
-        continue;
-      }
-      auto bytes = comm.recv_bytes_any_size(src, detail::kTagGather);
-      PT_CHECK(bytes.size() % sizeof(T) == 0, "gather_varied: payload size");
-      std::vector<T>& slot = result[static_cast<std::size_t>(src)];
-      slot.resize(bytes.size() / sizeof(T));
-      util::copy_bytes(slot.data(), bytes.data(), bytes.size());
-    }
-    return result;
-  }
 
   // Binomial tree: after the round with bit `mask`, vrank vr holds the
   // payloads of virtual ranks [vr, vr + mask) (clipped to p).
@@ -657,29 +633,11 @@ template <class T>
 /// the root and must have one entry per rank.
 template <class T>
 [[nodiscard]] std::vector<T> scatter_varied(
-    const Comm& comm, const std::vector<std::vector<T>>& blocks, int root,
-    RootedAlgo algo = RootedAlgo::Tree) {
+    const Comm& comm, const std::vector<std::vector<T>>& blocks, int root) {
   const int p = comm.size();
   // Blocks are only known at the root: fingerprint the op only.
   comm.note_collective(OpKind::Scatter, 0);
   OpScope scope(OpKind::Scatter);
-  if (algo == RootedAlgo::Flat) {
-    if (comm.rank() == root) {
-      PT_CHECK(static_cast<int>(blocks.size()) == p,
-               "scatter_varied: need one block per rank");
-      for (int dst = 0; dst < p; ++dst) {
-        if (dst == root) continue;
-        comm.send(std::span<const T>(blocks[static_cast<std::size_t>(dst)]),
-                  dst, detail::kTagScatter);
-      }
-      return blocks[static_cast<std::size_t>(root)];
-    }
-    auto bytes = comm.recv_bytes_any_size(root, detail::kTagScatter);
-    PT_CHECK(bytes.size() % sizeof(T) == 0, "scatter_varied: payload size");
-    std::vector<T> mine(bytes.size() / sizeof(T));
-    util::copy_bytes(mine.data(), bytes.data(), bytes.size());
-    return mine;
-  }
 
   // Binomial tree (mirror of the gather): each node receives the packed
   // payloads of its whole subtree, then halves it downward.

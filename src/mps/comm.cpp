@@ -71,15 +71,12 @@ void Comm::send_bytes(std::span<const std::byte> buf, int dest,
   msg.tag = tag;
   msg.payload.assign(buf.begin(), buf.end());
   my_stats().record(current_op(), buf.size());
-  if constexpr (obs::kEnabled) {
-    OpCounterTable& oc = op_counters();
-    oc.messages.inc();
-    oc.bytes.add(buf.size());
-    OpCounterPair& pair =
-        oc.per_op[static_cast<std::size_t>(current_op())];
-    pair.messages.inc();
-    pair.bytes.add(buf.size());
-  }
+  OpCounterTable& oc = op_counters();
+  oc.messages.inc();
+  oc.bytes.add(buf.size());
+  OpCounterPair& pair = oc.per_op[static_cast<std::size_t>(current_op())];
+  pair.messages.inc();
+  pair.bytes.add(buf.size());
   state_->universe->mailbox(world_rank(dest)).push(std::move(msg));
 }
 

@@ -21,10 +21,10 @@
 ///  - The registry is a leaked singleton: handles cached in function-local
 ///    statics stay valid through program exit (including thread_local
 ///    destructors that may still record).
-///  - Metrics never influence computation: with `PTUCKER_OBS_DISABLED`
-///    defined (CMake `-DPTUCKER_OBS=OFF`) every update compiles to nothing
-///    and `obs::kEnabled` is false, checkable with `if constexpr`. Results
-///    are bit-identical either way — the registry only ever observes.
+///  - Metrics never influence computation: results are bit-identical
+///    whether or not anything reads them. The registry is always compiled;
+///    `-DPTUCKER_OBS=OFF` compiles out trace spans only (trace.hpp), so
+///    the counts a test or a bench asserts are the same in every build.
 ///
 /// Histograms are log-bucketed (8 sub-buckets per power of two, ~12.5%
 /// relative resolution, HdrHistogram-style) so recording is one atomic
@@ -43,12 +43,6 @@
 #include <vector>
 
 namespace ptucker::obs {
-
-#ifdef PTUCKER_OBS_DISABLED
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
 
 /// Log-bucketed histogram storage: values 0..7 exact, then 8 sub-buckets
 /// per octave. Thread-safe: record() is wait-free (relaxed atomics), reads
@@ -150,19 +144,10 @@ class HistogramData {
 class Counter {
  public:
   Counter() = default;
-  void add(std::uint64_t n) {
-    if constexpr (kEnabled) {
-      cell_->fetch_add(n, std::memory_order_relaxed);
-    } else {
-      (void)n;
-    }
-  }
+  void add(std::uint64_t n) { cell_->fetch_add(n, std::memory_order_relaxed); }
   void inc() { add(1); }
   [[nodiscard]] std::uint64_t value() const {
-    if constexpr (kEnabled) {
-      return cell_->load(std::memory_order_relaxed);
-    }
-    return 0;
+    return cell_->load(std::memory_order_relaxed);
   }
 
  private:
@@ -175,36 +160,19 @@ class Counter {
 class Gauge {
  public:
   Gauge() = default;
-  void set(std::int64_t v) {
-    if constexpr (kEnabled) {
-      cell_->store(v, std::memory_order_relaxed);
-    } else {
-      (void)v;
-    }
-  }
+  void set(std::int64_t v) { cell_->store(v, std::memory_order_relaxed); }
   void add(std::int64_t delta) {
-    if constexpr (kEnabled) {
-      cell_->fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      (void)delta;
-    }
+    cell_->fetch_add(delta, std::memory_order_relaxed);
   }
   /// Raise to \p v if it is a new high-water mark.
   void record_peak(std::int64_t v) {
-    if constexpr (kEnabled) {
-      std::int64_t cur = cell_->load(std::memory_order_relaxed);
-      while (v > cur && !cell_->compare_exchange_weak(
-                            cur, v, std::memory_order_relaxed)) {
-      }
-    } else {
-      (void)v;
+    std::int64_t cur = cell_->load(std::memory_order_relaxed);
+    while (v > cur &&
+           !cell_->compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
   }
   [[nodiscard]] std::int64_t value() const {
-    if constexpr (kEnabled) {
-      return cell_->load(std::memory_order_relaxed);
-    }
-    return 0;
+    return cell_->load(std::memory_order_relaxed);
   }
 
  private:
@@ -217,13 +185,7 @@ class Gauge {
 class Histogram {
  public:
   Histogram() = default;
-  void record(std::uint64_t v) {
-    if constexpr (kEnabled) {
-      data_->record(v);
-    } else {
-      (void)v;
-    }
-  }
+  void record(std::uint64_t v) { data_->record(v); }
   [[nodiscard]] const HistogramData* data() const { return data_; }
 
  private:

@@ -9,9 +9,8 @@ namespace ptucker::serve {
 
 namespace {
 
-/// Registry mirrors of the per-shard CacheCounters, aggregated process-wide
-/// under "serve.cache.*" (the per-instance counters() remain the precise
-/// per-cache view; these feed the unified snapshot).
+/// The cache's event counts, process-wide under "serve.cache.*": every
+/// PanelCache in the process adds to the same cells.
 struct CacheMetrics {
   obs::Counter lookups;
   obs::Counter hits;
@@ -57,16 +56,13 @@ std::shared_ptr<const EntryPanels> PanelCache::get_or_load(
   Shard& s = *shards_[shard_of(key)];
   {
     std::lock_guard<std::mutex> lock(s.mutex);
-    ++s.counters.lookups;
     cache_metrics().lookups.inc();
     const auto hit = s.index.find(key);
     if (hit != s.index.end()) {
-      ++s.counters.hits;
       cache_metrics().hits.inc();
       s.lru.splice(s.lru.begin(), s.lru, hit->second);  // bump to front
       return s.lru.front().second;
     }
-    ++s.counters.misses;
     cache_metrics().misses.inc();
   }
   // Miss: load with the lock dropped so this key's decompression I/O never
@@ -84,7 +80,6 @@ std::shared_ptr<const EntryPanels> PanelCache::get_or_load(
   while (s.lru.size() > s.capacity) {
     s.index.erase(s.lru.back().first);
     s.lru.pop_back();
-    ++s.counters.evictions;
     cache_metrics().evictions.inc();
   }
   return s.lru.front().second;
@@ -97,7 +92,6 @@ void PanelCache::erase_archive(std::size_t archive) {
       if (it->first.archive == archive) {
         shard->index.erase(it->first);
         it = shard->lru.erase(it);
-        ++shard->counters.invalidations;
         cache_metrics().invalidations.inc();
       } else {
         ++it;
@@ -111,19 +105,6 @@ std::size_t PanelCache::size() const {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     total += shard->lru.size();
-  }
-  return total;
-}
-
-CacheCounters PanelCache::counters() const {
-  CacheCounters total;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total.lookups += shard->counters.lookups;
-    total.hits += shard->counters.hits;
-    total.misses += shard->counters.misses;
-    total.evictions += shard->counters.evictions;
-    total.invalidations += shard->counters.invalidations;
   }
   return total;
 }

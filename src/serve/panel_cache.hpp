@@ -14,6 +14,12 @@
 /// loser adopts it (one redundant read, no torn state) — the same policy
 /// TimestepReader::step_file uses.
 ///
+/// Events are counted in the process-wide registry under "serve.cache.*"
+/// (lookups, hits, misses, evictions = capacity evictions only,
+/// invalidations = panels dropped by erase_archive); hits + misses ==
+/// lookups always holds (a racing duplicate load counts as the one miss of
+/// the thread that looked up and found nothing).
+///
 /// Keys carry the owning archive's revalidation generation: when the server
 /// detects an archive was rewritten in place, it bumps the generation and
 /// drops the archive's panels, so stale models can never serve a query (see
@@ -54,17 +60,6 @@ struct PanelKey {
   bool operator==(const PanelKey&) const = default;
 };
 
-/// Monotonic cache statistics. hits + misses == lookups always holds (a
-/// racing duplicate load counts as the one miss of the thread that looked
-/// up and found nothing).
-struct CacheCounters {
-  std::size_t lookups = 0;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t evictions = 0;      ///< capacity evictions only
-  std::size_t invalidations = 0;  ///< panels dropped by erase_archive
-};
-
 class PanelCache {
  public:
   /// \p capacity panels total, spread over min(\p shards, capacity)
@@ -93,8 +88,6 @@ class PanelCache {
   /// Panels currently resident (sums the shards; a racing insert may make
   /// consecutive calls disagree, which is fine for observability).
   [[nodiscard]] std::size_t size() const;
-  /// Aggregated counters over all shards.
-  [[nodiscard]] CacheCounters counters() const;
   /// Resident keys of one shard, most recently used first (tests only).
   [[nodiscard]] std::vector<PanelKey> shard_keys(std::size_t shard) const;
 
@@ -112,7 +105,6 @@ class PanelCache {
     /// Front = most recently used.
     std::list<std::pair<PanelKey, std::shared_ptr<const EntryPanels>>> lru;
     std::unordered_map<PanelKey, decltype(lru)::iterator, KeyHash> index;
-    CacheCounters counters;
   };
 
   std::size_t capacity_ = 0;

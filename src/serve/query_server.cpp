@@ -16,9 +16,8 @@ namespace ptucker::serve {
 
 namespace {
 
-/// Serve-path registry metrics ("serve.*"), resolved once. Additive to the
-/// per-instance ExecutorCounters/CacheCounters: those stay the precise
-/// per-server view, these feed the unified process snapshot.
+/// Serve-path registry metrics ("serve.*"), resolved once. They are the
+/// only record of these events; every server in the process adds to them.
 struct ServeMetrics {
   obs::Counter queries;
   obs::Counter submitted;
@@ -193,17 +192,12 @@ tensor::Tensor QueryServer::evaluate(
   // is either complete or DeadlineExceeded — no partial results. The anchor
   // is submit() time for executor queries: a query that starved in the
   // queue fails fast instead of occupying a worker past its deadline.
-  const std::uint64_t ddl_ms =
-      req.deadline_ms != 0 ? req.deadline_ms : opts_.default_deadline_ms;
+  const std::uint64_t ddl_ms = req.deadline_ms;
   const clock::time_point ddl = anchor + std::chrono::milliseconds(ddl_ms);
   const auto check_deadline = [&](const char* stage) {
     if (ddl_ms == 0) return;
     const clock::time_point now = clock::now();
     if (now < ddl) return;
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      ++exec_counters_.deadline_misses;
-    }
     serve_metrics().deadline_misses.inc();
     std::ostringstream os;
     os << "serve: deadline of " << ddl_ms << " ms exceeded at stage '"
@@ -346,18 +340,12 @@ std::future<tensor::Tensor> QueryServer::submit(Request req) const {
   if (workers_.empty()) {
     // executor_threads == 0: evaluate on the submitting thread; the
     // returned future is already satisfied.
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      ++exec_counters_.submitted;
-    }
     serve_metrics().submitted.inc();
     try {
       promise.set_value(evaluate(req));
     } catch (...) {
       promise.set_exception(std::current_exception());
     }
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    ++exec_counters_.completed;
     serve_metrics().completed.inc();
     return fut;
   }
@@ -367,7 +355,6 @@ std::future<tensor::Tensor> QueryServer::submit(Request req) const {
     if (opts_.shed_on_overload) {
       // Load shedding: reject now so the client can back off or retry
       // elsewhere — overload degrades to an explicit error, not latency.
-      ++exec_counters_.sheds;
       serve_metrics().sheds.inc();
       throw Overloaded(
           "serve: admission queue full (" +
@@ -377,7 +364,6 @@ std::future<tensor::Tensor> QueryServer::submit(Request req) const {
     }
     // Admission control: a full queue blocks the client instead of
     // growing the queue — overload degrades to latency, not memory.
-    ++exec_counters_.admission_waits;
     serve_metrics().admission_waits.inc();
     obs::Span span_wait("serve.admission_wait");
     queue_not_full_.wait(lock, [&] {
@@ -387,9 +373,6 @@ std::future<tensor::Tensor> QueryServer::submit(Request req) const {
   }
   queue_.push_back(Job{std::move(req), std::move(promise),
                        std::chrono::steady_clock::now()});
-  ++exec_counters_.submitted;
-  exec_counters_.peak_queue =
-      std::max(exec_counters_.peak_queue, queue_.size());
   serve_metrics().submitted.inc();
   serve_metrics().queue_depth.set(
       static_cast<std::int64_t>(queue_.size()));
@@ -418,19 +401,11 @@ void QueryServer::worker_loop() {
     // seen every future resolve also sees completed == submitted.
     try {
       tensor::Tensor result = evaluate(job.req, job.enqueued);
-      {
-        std::lock_guard<std::mutex> lock(queue_mutex_);
-        ++exec_counters_.completed;
-      }
       serve_metrics().completed.inc();
       job.promise.set_value(std::move(result));
     } catch (...) {
       // A malformed request (bad box, uncovered range) surfaces on the
       // client's future; the worker keeps serving.
-      {
-        std::lock_guard<std::mutex> lock(queue_mutex_);
-        ++exec_counters_.completed;
-      }
       serve_metrics().completed.inc();
       job.promise.set_exception(std::current_exception());
     }
@@ -502,11 +477,6 @@ tensor::Tensor QueryServer::time_range(std::size_t a, std::uint64_t lo,
   return evaluate(req);
 }
 
-ExecutorCounters QueryServer::executor_counters() const {
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  return exec_counters_;
-}
-
 std::size_t QueryServer::queue_size() const {
   std::lock_guard<std::mutex> lock(queue_mutex_);
   return queue_.size();
@@ -522,47 +492,23 @@ std::size_t QueryServer::quarantined_entries() const {
 }
 
 std::string QueryServer::stats_report() const {
-  const CacheCounters cc = cache_.counters();
-  const ExecutorCounters ec = executor_counters();
   std::ostringstream os;
   os << "server.archives " << archives_.size() << "\n"
      << "server.cache.resident " << cache_.size() << "\n"
      << "server.cache.capacity " << cache_.capacity() << "\n"
-     << "server.cache.lookups " << cc.lookups << "\n"
-     << "server.cache.hits " << cc.hits << "\n"
-     << "server.cache.misses " << cc.misses << "\n"
-     << "server.cache.evictions " << cc.evictions << "\n"
-     << "server.cache.invalidations " << cc.invalidations << "\n"
-     << "server.exec.submitted " << ec.submitted << "\n"
-     << "server.exec.completed " << ec.completed << "\n"
-     << "server.exec.admission_waits " << ec.admission_waits << "\n"
-     << "server.exec.peak_queue " << ec.peak_queue << "\n"
      << "server.exec.queue_size " << queue_size() << "\n"
-     << "server.exec.sheds " << ec.sheds << "\n"
-     << "server.deadline_misses " << ec.deadline_misses << "\n"
      << "server.quarantined " << quarantined_entries() << "\n"
      << obs::registry().snapshot().to_text();
   return os.str();
 }
 
 std::string QueryServer::stats_json() const {
-  const CacheCounters cc = cache_.counters();
-  const ExecutorCounters ec = executor_counters();
   std::ostringstream os;
   os << "{\"server\":{\"archives\":" << archives_.size()
      << ",\"cache\":{\"resident\":" << cache_.size()
      << ",\"capacity\":" << cache_.capacity()
-     << ",\"lookups\":" << cc.lookups << ",\"hits\":" << cc.hits
-     << ",\"misses\":" << cc.misses << ",\"evictions\":" << cc.evictions
-     << ",\"invalidations\":" << cc.invalidations
-     << "},\"executor\":{\"submitted\":" << ec.submitted
-     << ",\"completed\":" << ec.completed
-     << ",\"admission_waits\":" << ec.admission_waits
-     << ",\"peak_queue\":" << ec.peak_queue
-     << ",\"queue_size\":" << queue_size()
-     << ",\"sheds\":" << ec.sheds
-     << "},\"deadline_misses\":" << ec.deadline_misses
-     << ",\"quarantined\":" << quarantined_entries()
+     << "},\"executor\":{\"queue_size\":" << queue_size()
+     << "},\"quarantined\":" << quarantined_entries()
      << "},\"registry\":" << obs::registry().snapshot().to_json() << "}";
   return os.str();
 }

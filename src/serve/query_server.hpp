@@ -14,10 +14,15 @@
 ///             factors — cost scales with the answer, not the window), and
 ///             stitches along time;
 ///   cache     serve::PanelCache holds hot decompressed entry panels
-///             (sharded LRU, hit/miss/eviction counters);
+///             (sharded LRU);
 ///   executor  a bounded-admission pool of worker threads; when all
 ///             workers are busy and the queue is full, submit() blocks —
 ///             overload degrades to queueing, never to unbounded memory.
+///
+/// Events (queries, cache hits/misses, submits, admission waits, sheds,
+/// deadline misses, quarantines) are counted once, in the process-wide
+/// obs registry under "serve.*"; several servers in one process add to the
+/// same counters.
 ///
 /// Every answer is bit-identical to a single-threaded
 /// StreamingReconstructor::reconstruct_steps of the same box on a 1-rank
@@ -64,11 +69,6 @@ struct ServerOptions {
   bool revalidate = true;
   /// Restore physical values with each entry's archived per-window stats.
   bool denormalize = true;
-  /// Deadline applied to every query whose Request leaves deadline_ms == 0;
-  /// 0 = unbounded. For executor queries the clock starts at submit(), so
-  /// queueing time counts against the deadline — a query that waited too
-  /// long fails fast with DeadlineExceeded instead of occupying a worker.
-  std::uint64_t default_deadline_ms = 0;
   /// Load shedding: when the admission queue is full, submit() throws
   /// Overloaded immediately instead of blocking the caller. Off by default
   /// (overload degrades to queueing latency, the original behavior).
@@ -84,21 +84,12 @@ struct Request {
   std::uint64_t step_lo = 0;
   std::uint64_t step_hi = 0;
   std::vector<util::Range> box;
-  /// Per-query deadline in milliseconds; 0 = use the server default.
-  /// Exceeding it throws DeadlineExceeded (on the future for executor
-  /// queries) — partial answers are never returned.
+  /// Per-query deadline in milliseconds; 0 = unbounded. Exceeding it
+  /// throws DeadlineExceeded (on the future for executor queries) —
+  /// partial answers are never returned. For executor queries the clock
+  /// starts at submit(), so queueing time counts against the deadline: a
+  /// query that waited too long fails fast instead of occupying a worker.
   std::uint64_t deadline_ms = 0;
-};
-
-/// Executor statistics (monotonic, except peak_queue which is a
-/// high-water mark).
-struct ExecutorCounters {
-  std::size_t submitted = 0;
-  std::size_t completed = 0;
-  std::size_t admission_waits = 0;  ///< submits that blocked on a full queue
-  std::size_t peak_queue = 0;
-  std::size_t sheds = 0;            ///< submits rejected with Overloaded
-  std::size_t deadline_misses = 0;  ///< queries that threw DeadlineExceeded
 };
 
 class QueryServer {
@@ -149,7 +140,6 @@ class QueryServer {
                                           std::uint64_t hi) const;
 
   [[nodiscard]] const PanelCache& cache() const { return cache_; }
-  [[nodiscard]] ExecutorCounters executor_counters() const;
   [[nodiscard]] std::size_t queue_size() const;
   /// Entries currently quarantined across all archives. An entry is
   /// quarantined when its load failed with a ptucker Error (checksum
@@ -159,9 +149,10 @@ class QueryServer {
   /// lifts its quarantines.
   [[nodiscard]] std::size_t quarantined_entries() const;
 
-  /// Live introspection: "name value" lines for this server (cache,
-  /// executor, queue) followed by the process-wide obs registry snapshot —
-  /// one dump sees the whole stack (serve, pario, blas, mps).
+  /// Live introspection: "name value" lines for this server's state
+  /// (archives, cache resident/capacity, queue size, quarantined entries)
+  /// followed by the process-wide obs registry snapshot, which holds the
+  /// event counts — one dump sees the whole stack (serve, pario, blas, mps).
   [[nodiscard]] std::string stats_report() const;
   /// Same content as one JSON object:
   /// {"server":{...},"registry":{counters,gauges,histograms}}.
@@ -207,8 +198,7 @@ class QueryServer {
   mutable std::condition_variable queue_not_empty_;
   mutable std::condition_variable queue_not_full_;
   mutable std::deque<Job> queue_;
-  mutable ExecutorCounters exec_counters_;  ///< guarded by queue_mutex_
-  bool stopping_ = false;                   ///< guarded by queue_mutex_
+  bool stopping_ = false;  ///< guarded by queue_mutex_
   std::vector<std::thread> workers_;
 };
 

@@ -225,39 +225,40 @@ TEST_P(Collectives, ScatterVariedDeliversBlocks) {
   });
 }
 
-/// The binomial-tree gather/scatter must agree with the flat direct-send
-/// oracle for every P (incl. non-powers-of-two), every root, and varied
-/// (including empty) per-rank payloads — the non-divisible-dims shapes the
-/// DistTensor layer produces.
-TEST_P(Collectives, TreeGatherMatchesFlatOracle) {
+/// The binomial-tree gather/scatter must deliver every rank's exact payload
+/// for every P (incl. non-powers-of-two), every root, and varied (including
+/// empty) per-rank payloads — the non-divisible-dims shapes the DistTensor
+/// layer produces.
+TEST_P(Collectives, TreeGatherDeliversEveryPayload) {
   const int p = GetParam();
   for (int root = 0; root < p; root += std::max(1, p - 1)) {
     run_ranks(p, [&](mps::Comm& comm) {
       // Rank r contributes r % 4 elements: some contributions are empty.
       const auto mine =
           payload_for(comm.rank(), static_cast<std::size_t>(comm.rank() % 4));
-      const auto tree = mps::gather_varied(
-          comm, std::span<const double>(mine), root, mps::RootedAlgo::Tree);
-      const auto flat = mps::gather_varied(
-          comm, std::span<const double>(mine), root, mps::RootedAlgo::Flat);
+      const auto all =
+          mps::gather_varied(comm, std::span<const double>(mine), root);
       if (comm.rank() == root) {
-        ASSERT_EQ(tree.size(), flat.size());
-        for (std::size_t r = 0; r < tree.size(); ++r) {
-          ASSERT_EQ(tree[r].size(), flat[r].size()) << "rank " << r;
-          if (!tree[r].empty()) {
-            EXPECT_EQ(testing::max_diff(tree[r].data(), flat[r].data(),
-                                        tree[r].size()),
+        ASSERT_EQ(all.size(), static_cast<std::size_t>(p));
+        for (int r = 0; r < p; ++r) {
+          const auto expected =
+              payload_for(r, static_cast<std::size_t>(r % 4));
+          const auto& got = all[static_cast<std::size_t>(r)];
+          ASSERT_EQ(got.size(), expected.size()) << "rank " << r;
+          if (!got.empty()) {
+            EXPECT_EQ(testing::max_diff(got.data(), expected.data(),
+                                        got.size()),
                       0.0);
           }
         }
       } else {
-        EXPECT_TRUE(tree.empty());
+        EXPECT_TRUE(all.empty());
       }
     });
   }
 }
 
-TEST_P(Collectives, TreeScatterMatchesFlatOracle) {
+TEST_P(Collectives, TreeScatterDeliversEveryBlock) {
   const int p = GetParam();
   for (int root = 0; root < p; root += std::max(1, p - 1)) {
     run_ranks(p, [&](mps::Comm& comm) {
@@ -269,13 +270,12 @@ TEST_P(Collectives, TreeScatterMatchesFlatOracle) {
               payload_for(r, static_cast<std::size_t>(r % 3));
         }
       }
-      const auto tree =
-          mps::scatter_varied(comm, blocks, root, mps::RootedAlgo::Tree);
-      const auto flat =
-          mps::scatter_varied(comm, blocks, root, mps::RootedAlgo::Flat);
-      ASSERT_EQ(tree.size(), flat.size());
-      if (!tree.empty()) {
-        EXPECT_EQ(testing::max_diff(tree.data(), flat.data(), tree.size()),
+      const auto mine = mps::scatter_varied(comm, blocks, root);
+      const auto expected = payload_for(
+          comm.rank(), static_cast<std::size_t>(comm.rank() % 3));
+      ASSERT_EQ(mine.size(), expected.size());
+      if (!mine.empty()) {
+        EXPECT_EQ(testing::max_diff(mine.data(), expected.data(), mine.size()),
                   0.0);
       }
     });

@@ -32,7 +32,6 @@ std::uint64_t exact_percentile(const std::vector<std::uint64_t>& sorted,
 }
 
 TEST(Registry, CountersAccumulateAndShareCellsByName) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with PTUCKER_OBS=OFF";
   obs::Counter a = obs::registry().counter("test.shared");
   obs::Counter b = obs::registry().counter("test.shared");
   const std::uint64_t before = a.value();
@@ -43,7 +42,6 @@ TEST(Registry, CountersAccumulateAndShareCellsByName) {
 }
 
 TEST(Registry, GaugeSetAddAndPeak) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with PTUCKER_OBS=OFF";
   obs::Gauge g = obs::registry().gauge("test.gauge");
   g.set(10);
   g.add(-3);
@@ -56,7 +54,6 @@ TEST(Registry, GaugeSetAddAndPeak) {
 }
 
 TEST(Registry, SnapshotFiltersByPrefixAndSerializes) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with PTUCKER_OBS=OFF";
   obs::registry().counter("snapprefix.one").add(1);
   obs::registry().counter("snapprefix.two").add(2);
   obs::registry().counter("othersnap.three").add(3);
@@ -72,7 +69,6 @@ TEST(Registry, SnapshotFiltersByPrefixAndSerializes) {
 }
 
 TEST(Registry, ResetZeroesButKeepsHandlesValid) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with PTUCKER_OBS=OFF";
   obs::Counter c = obs::registry().counter("test.reset_me");
   c.add(42);
   obs::registry().reset();
@@ -82,7 +78,6 @@ TEST(Registry, ResetZeroesButKeepsHandlesValid) {
 }
 
 TEST(Registry, ConcurrentUpdatesAndSnapshotsAreConsistent) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with PTUCKER_OBS=OFF";
   constexpr int kThreads = 8;
   constexpr std::uint64_t kPerThread = 50000;
   obs::Counter c = obs::registry().counter("test.hammer.counter");

@@ -108,6 +108,7 @@ serve::PanelCache::Loader stub_loader(std::size_t entry,
 
 TEST(PanelCache, EvictsLeastRecentlyUsed) {
   serve::PanelCache cache(/*capacity=*/3, /*shards=*/1);
+  const testing::CounterDelta delta;
   std::atomic<std::size_t> loads{0};
   const auto key = [](std::size_t e) {
     return serve::PanelKey{0, 0, e};
@@ -126,7 +127,7 @@ TEST(PanelCache, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(keys[0].entry, 3u);  // most recently used first
   EXPECT_EQ(keys[1].entry, 0u);
   EXPECT_EQ(keys[2].entry, 2u);
-  EXPECT_EQ(cache.counters().evictions, 1u);
+  EXPECT_EQ(delta("serve.cache.evictions"), 1u);
   // e1 is gone (reload), e2 is not.
   (void)cache.get_or_load(key(2), stub_loader(2, &loads));
   EXPECT_EQ(loads.load(), 4u);
@@ -138,6 +139,7 @@ TEST(PanelCache, ShardsAreIndependent) {
   // shard_of = (archive + entry) mod shards: entries alternate shards.
   serve::PanelCache cache(/*capacity=*/4, /*shards=*/2);
   ASSERT_EQ(cache.shard_count(), 2u);
+  const testing::CounterDelta delta;
   std::atomic<std::size_t> loads{0};
   for (std::size_t e = 0; e < 4; ++e) {
     const serve::PanelKey k{0, 0, e};
@@ -148,7 +150,7 @@ TEST(PanelCache, ShardsAreIndependent) {
   // A fifth key lands in shard 0 (capacity 2) and evicts ITS oldest (e0);
   // shard 1 is untouched.
   (void)cache.get_or_load(serve::PanelKey{0, 0, 4}, stub_loader(4, &loads));
-  EXPECT_EQ(cache.counters().evictions, 1u);
+  EXPECT_EQ(delta("serve.cache.evictions"), 1u);
   const std::vector<serve::PanelKey> s0 = cache.shard_keys(0);
   ASSERT_EQ(s0.size(), 2u);
   EXPECT_EQ(s0[0].entry, 4u);
@@ -161,6 +163,7 @@ TEST(PanelCache, ShardsAreIndependent) {
 
 TEST(PanelCache, CountersStayConsistentUnderConcurrency) {
   serve::PanelCache cache(/*capacity=*/4, /*shards=*/2);
+  const testing::CounterDelta delta;
   std::atomic<std::size_t> loads{0};
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < 4; ++t) {
@@ -177,17 +180,18 @@ TEST(PanelCache, CountersStayConsistentUnderConcurrency) {
     });
   }
   for (std::thread& t : threads) t.join();
-  const serve::CacheCounters c = cache.counters();
-  EXPECT_EQ(c.lookups, 400u);
-  EXPECT_EQ(c.hits + c.misses, c.lookups);
+  EXPECT_EQ(delta("serve.cache.lookups"), 400u);
+  EXPECT_EQ(delta("serve.cache.hits") + delta("serve.cache.misses"),
+            delta("serve.cache.lookups"));
   // Every counted miss invokes the loader exactly once (racing duplicate
   // loads are each counted as their own thread's miss).
-  EXPECT_EQ(loads.load(), c.misses);
+  EXPECT_EQ(loads.load(), delta("serve.cache.misses"));
   EXPECT_LE(cache.size(), 4u);
 }
 
 TEST(PanelCache, EraseArchiveDropsOnlyThatArchive) {
   serve::PanelCache cache(/*capacity=*/8, /*shards=*/2);
+  const testing::CounterDelta delta;
   std::atomic<std::size_t> loads{0};
   for (std::size_t a = 0; a < 2; ++a) {
     for (std::size_t e = 0; e < 2; ++e) {
@@ -198,7 +202,7 @@ TEST(PanelCache, EraseArchiveDropsOnlyThatArchive) {
   EXPECT_EQ(cache.size(), 4u);
   cache.erase_archive(0);
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.counters().invalidations, 2u);
+  EXPECT_EQ(delta("serve.cache.invalidations"), 2u);
   // Archive 1's panels still hit; archive 0's reload.
   (void)cache.get_or_load(serve::PanelKey{1, 0, 0}, stub_loader(0, &loads));
   EXPECT_EQ(loads.load(), 4u);
@@ -213,6 +217,7 @@ TEST(ServeRevalidate, InPlaceRewriteBumpsGenerationAndDropsPanels) {
   serve::ServerOptions opts;
   opts.executor_threads = 0;
   serve::QueryServer server({path}, opts);
+  const testing::CounterDelta delta;
   const serve::Request req{0, 0, 4, {}};
   (void)server.subtensor(req);
   EXPECT_EQ(server.generation(0), 0u);
@@ -227,7 +232,7 @@ TEST(ServeRevalidate, InPlaceRewriteBumpsGenerationAndDropsPanels) {
   // panels dropped, answers bit-matching a fresh single-threaded oracle.
   const Tensor got = server.subtensor(req);
   EXPECT_EQ(server.generation(0), 1u);
-  EXPECT_GE(server.cache().counters().invalidations, 2u);
+  EXPECT_GE(delta("serve.cache.invalidations"), 2u);
   Tensor want;
   run_ranks(1, [&](mps::Comm& comm) {
     auto grid = dist::make_grid(comm, {1, 1, 1, 1});
@@ -252,9 +257,10 @@ TEST(ServeRevalidate, PureAppendKeepsGenerationAndCachedPanels) {
   serve::ServerOptions opts;
   opts.executor_threads = 0;
   serve::QueryServer server({path}, opts);
+  const testing::CounterDelta delta;
   EXPECT_EQ(server.num_steps(0), 4u);
   (void)server.time_range(0, 0, 4);  // loads entries 0 and 1
-  EXPECT_EQ(server.cache().counters().misses, 2u);
+  EXPECT_EQ(delta("serve.cache.misses"), 2u);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   append_window(path, step_dims, 4, 2);
@@ -264,10 +270,9 @@ TEST(ServeRevalidate, PureAppendKeepsGenerationAndCachedPanels) {
   EXPECT_EQ(server.num_steps(0), 6u);
   const Tensor got = server.time_range(0, 0, 6);
   EXPECT_EQ(server.generation(0), 0u);
-  const serve::CacheCounters c = server.cache().counters();
-  EXPECT_EQ(c.misses, 3u);
-  EXPECT_GE(c.hits, 2u);
-  EXPECT_EQ(c.invalidations, 0u);
+  EXPECT_EQ(delta("serve.cache.misses"), 3u);
+  EXPECT_GE(delta("serve.cache.hits"), 2u);
+  EXPECT_EQ(delta("serve.cache.invalidations"), 0u);
   Tensor want;
   run_ranks(1, [&](mps::Comm& comm) {
     auto grid = dist::make_grid(comm, {1, 1, 1, 1});

@@ -198,6 +198,7 @@ TEST(Serve, EightThreadsOfRandomQueriesBitMatchTheOracle) {
   opts.cache_shards = 4;
   opts.executor_threads = 4;
   serve::QueryServer server({path}, opts);
+  const testing::CounterDelta delta;
 
   std::atomic<std::size_t> mismatches{0};
   std::vector<std::thread> clients;
@@ -215,11 +216,11 @@ TEST(Serve, EightThreadsOfRandomQueriesBitMatchTheOracle) {
   }
   for (std::thread& c : clients) c.join();
   EXPECT_EQ(mismatches.load(), 0u);
-  const serve::CacheCounters cc = server.cache().counters();
-  EXPECT_EQ(cc.hits + cc.misses, cc.lookups);
-  EXPECT_GT(cc.hits, 0u);  // 640 queries over 3 entries must mostly hit
-  const serve::ExecutorCounters ec = server.executor_counters();
-  EXPECT_EQ(ec.submitted, ec.completed);
+  EXPECT_EQ(delta("serve.cache.hits") + delta("serve.cache.misses"),
+            delta("serve.cache.lookups"));
+  // 640 queries over 3 entries must mostly hit.
+  EXPECT_GT(delta("serve.cache.hits"), 0u);
+  EXPECT_EQ(delta("serve.exec.submitted"), delta("serve.exec.completed"));
   std::filesystem::remove(path);
 }
 
@@ -243,6 +244,7 @@ TEST(Serve, CacheThrashAtCapacityOneStaysCorrect) {
   opts.cache_shards = 1;
   opts.executor_threads = 2;
   serve::QueryServer server({path}, opts);
+  const testing::CounterDelta delta;
 
   std::atomic<std::size_t> mismatches{0};
   std::vector<std::thread> clients;
@@ -258,9 +260,10 @@ TEST(Serve, CacheThrashAtCapacityOneStaysCorrect) {
   }
   for (std::thread& c : clients) c.join();
   EXPECT_EQ(mismatches.load(), 0u);
-  const serve::CacheCounters cc = server.cache().counters();
-  EXPECT_EQ(cc.hits + cc.misses, cc.lookups);
-  EXPECT_GT(cc.evictions, 0u);  // three entries through one slot
+  EXPECT_EQ(delta("serve.cache.hits") + delta("serve.cache.misses"),
+            delta("serve.cache.lookups"));
+  // Three entries through one slot.
+  EXPECT_GT(delta("serve.cache.evictions"), 0u);
   std::filesystem::remove(path);
 }
 
@@ -273,14 +276,13 @@ TEST(Serve, ColdAndWarmAnswersBitMatch) {
   serve::QueryServer server({path}, opts);
 
   const serve::Request req{0, 1, 5, {{1, 5}, {0, 4}, {1, 3}}};
+  const testing::CounterDelta delta;
   const Tensor cold = server.subtensor(req);
-  const serve::CacheCounters after_cold = server.cache().counters();
-  EXPECT_EQ(after_cold.misses, 2u);  // both covering entries loaded
-  EXPECT_EQ(after_cold.hits, 0u);
+  EXPECT_EQ(delta("serve.cache.misses"), 2u);  // both covering entries loaded
+  EXPECT_EQ(delta("serve.cache.hits"), 0u);
   const Tensor warm = server.subtensor(req);
-  const serve::CacheCounters after_warm = server.cache().counters();
-  EXPECT_EQ(after_warm.misses, 2u);  // no new loads
-  EXPECT_EQ(after_warm.hits, 2u);
+  EXPECT_EQ(delta("serve.cache.misses"), 2u);  // no new loads
+  EXPECT_EQ(delta("serve.cache.hits"), 2u);
   ASSERT_EQ(cold.dims(), warm.dims());
   EXPECT_EQ(std::memcmp(cold.data(), warm.data(),
                         cold.size() * sizeof(double)),
@@ -290,21 +292,19 @@ TEST(Serve, ColdAndWarmAnswersBitMatch) {
   // 2-rank writer in one pread, not one per mode-0 run. A grid-matched
   // 2-rank load parses the same header on both ranks and preads one block
   // each, which prices the header: (reads - 2) / 2.
-  if constexpr (obs::kEnabled) {
-    const pario::ArchiveReader reader(path);
-    const auto reads = [] { return testing::counter_value("pario.reads"); };
-    const std::uint64_t dist0 = reads();
-    run_ranks(2, [&](mps::Comm& comm) {
-      auto grid = dist::make_grid(comm, {2, 1, 1, 1});
-      EXPECT_GT(reader.read_entry(0, grid).core.local().size(), 0u);
-    });
-    const std::uint64_t header_reads = (reads() - dist0 - 2) / 2;
-    const std::uint64_t local0 = reads();
-    const pario::LocalModelData md = reader.read_entry_local(0);
-    const std::uint64_t core_bytes = md.core.size() * sizeof(double);
-    ASSERT_LT(core_bytes, std::uint64_t{1} << 20);  // one chunk per block
-    EXPECT_LE(reads() - local0, header_reads + 2);
-  }
+  const pario::ArchiveReader reader(path);
+  const auto reads = [] { return testing::counter_value("pario.reads"); };
+  const std::uint64_t dist0 = reads();
+  run_ranks(2, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {2, 1, 1, 1});
+    EXPECT_GT(reader.read_entry(0, grid).core.local().size(), 0u);
+  });
+  const std::uint64_t header_reads = (reads() - dist0 - 2) / 2;
+  const std::uint64_t local0 = reads();
+  const pario::LocalModelData md = reader.read_entry_local(0);
+  const std::uint64_t core_bytes = md.core.size() * sizeof(double);
+  ASSERT_LT(core_bytes, std::uint64_t{1} << 20);  // one chunk per block
+  EXPECT_LE(reads() - local0, header_reads + 2);
   std::filesystem::remove(path);
 }
 
@@ -316,6 +316,9 @@ TEST(Serve, BoundedExecutorCompletesEverySubmitUnderOverload) {
   opts.executor_threads = 2;
   opts.queue_depth = 2;  // tiny: submits must block, never grow the queue
   serve::QueryServer server({path}, opts);
+  // serve.exec.peak_queue is a process-wide high-water mark: start it at 0
+  // so the bound below is this server's.
+  obs::registry().reset();
 
   const serve::Request req{0, 0, 4, {}};
   const Tensor want = server.subtensor(req);
@@ -335,10 +338,9 @@ TEST(Serve, BoundedExecutorCompletesEverySubmitUnderOverload) {
   }
   for (std::thread& c : clients) c.join();
   EXPECT_EQ(mismatches.load(), 0u);
-  const serve::ExecutorCounters ec = server.executor_counters();
-  EXPECT_EQ(ec.submitted, 40u);
-  EXPECT_EQ(ec.completed, 40u);
-  EXPECT_LE(ec.peak_queue, 2u);
+  EXPECT_EQ(testing::counter_value("serve.exec.submitted"), 40u);
+  EXPECT_EQ(testing::counter_value("serve.exec.completed"), 40u);
+  EXPECT_LE(obs::registry().gauge("serve.exec.peak_queue").value(), 2);
   EXPECT_EQ(server.queue_size(), 0u);
 
   // A malformed request surfaces on the future, not in the worker.
@@ -439,18 +441,19 @@ TEST(Serve, TracedQueryReportsConsistentBreakdown) {
   EXPECT_TRUE(same_answer(warm.answer)) << "tracing changed the answer";
   EXPECT_TRUE(same_answer(cold.answer));
   std::filesystem::remove(path);
-  if (!obs::kEnabled) GTEST_SKIP() << "built with PTUCKER_OBS=OFF";
 
   // All panels are resident after the warmup: the loader never ran.
   EXPECT_EQ(warm.hits, 2u);
   EXPECT_EQ(warm.misses, 0u);
   EXPECT_EQ(warm.read_bytes, 0u);
-  EXPECT_EQ(testing::count_spans(warm.events, "serve.entry"), 2u);
-  EXPECT_EQ(testing::count_spans(warm.events, "serve.load"), 0u);
   // Cold: every entry is a miss and the loaded blob bytes are accounted.
   EXPECT_EQ(cold.misses, 2u);
   EXPECT_EQ(cold.hits, 0u);
   EXPECT_GT(cold.read_bytes, 0u);
+
+  if (!obs::kTraceCompiled) GTEST_SKIP() << "spans compiled out";
+  EXPECT_EQ(testing::count_spans(warm.events, "serve.entry"), 2u);
+  EXPECT_EQ(testing::count_spans(warm.events, "serve.load"), 0u);
 
   // Stage spans are disjoint sub-intervals of the query span.
   for (const Observed* o : {&warm, &cold}) {
@@ -479,17 +482,18 @@ TEST(Serve, StatsReportExposesTheWholeStack) {
   (void)server.subtensor({0, 0, 4, {}});
 
   const std::string report = server.stats_report();
-  // Server-local lines are always present.
+  // Server-local state lines.
   EXPECT_NE(report.find("server.archives 1"), std::string::npos);
-  EXPECT_NE(report.find("server.cache.lookups"), std::string::npos);
-  EXPECT_NE(report.find("server.exec.submitted"), std::string::npos);
-  if constexpr (obs::kEnabled) {
-    // The embedded registry snapshot reaches across subsystem boundaries:
-    // cache metrics, the serve histogram, and the pario layer underneath.
-    EXPECT_NE(report.find("serve.cache.hits"), std::string::npos);
-    EXPECT_NE(report.find("serve.query_us"), std::string::npos);
-    EXPECT_NE(report.find("pario.read_bytes"), std::string::npos);
-  }
+  EXPECT_NE(report.find("server.cache.resident"), std::string::npos);
+  EXPECT_NE(report.find("server.exec.queue_size"), std::string::npos);
+  // The embedded registry snapshot holds the event counts and reaches
+  // across subsystem boundaries: cache and executor counters, the serve
+  // histogram, and the pario layer underneath.
+  EXPECT_NE(report.find("serve.cache.lookups"), std::string::npos);
+  EXPECT_NE(report.find("serve.cache.hits"), std::string::npos);
+  EXPECT_NE(report.find("serve.exec.submitted"), std::string::npos);
+  EXPECT_NE(report.find("serve.query_us"), std::string::npos);
+  EXPECT_NE(report.find("pario.read_bytes"), std::string::npos);
 
   const std::string json = server.stats_json();
   EXPECT_NE(json.find("\"server\""), std::string::npos);

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -65,11 +66,25 @@ inline std::size_t count_spans(const std::vector<obs::TraceEvent>& events,
       }));
 }
 
-/// Current value of the registry counter \p name (0 when built with
-/// PTUCKER_OBS=OFF).
+/// Current value of the registry counter \p name.
 inline std::uint64_t counter_value(const char* name) {
   return obs::registry().counter(name).value();
 }
+
+/// Registry counter deltas against a baseline taken at construction:
+/// `delta("serve.cache.hits")` is how far that counter grew since. A name
+/// first registered after the baseline counts from 0.
+class CounterDelta {
+ public:
+  CounterDelta() : base_(obs::registry().snapshot().counters) {}
+  [[nodiscard]] std::uint64_t operator()(const char* name) const {
+    const auto it = base_.find(name);
+    return counter_value(name) - (it == base_.end() ? 0 : it->second);
+  }
+
+ private:
+  std::map<std::string, std::uint64_t> base_;
+};
 
 /// Max |a - b| over two equal-sized buffers.
 inline double max_diff(const double* a, const double* b, std::size_t n) {
