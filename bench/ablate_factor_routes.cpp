@@ -16,38 +16,25 @@
 #include "core/st_hosvd.hpp"
 #include "costmodel/tucker_model.hpp"
 #include "data/synthetic.hpp"
-#include "dist/gram.hpp"
 #include "dist/grid.hpp"
 #include "dist/sketch.hpp"
-#include "dist/tsqr.hpp"
 #include "util/cli.hpp"
 
 using namespace ptucker;
 
 namespace {
 
-/// Mean wall-clock over `reps` runs of one factor route on mode `mode`.
+/// Mean wall-clock over `reps` runs of one fixed-rank factor route on mode
+/// `mode`.
 double time_route(mps::Runtime& rt, std::vector<dist::DistTensor>& xs,
                   int mode, const dist::RankSelection& select,
-                  int route,  // 0 = gram, 1 = tsqr, 2 = randomized
-                  const dist::SketchOptions& sketch, int reps) {
+                  core::FactorMethod method, int reps) {
   double t_out = 0.0;
   rt.run([&](mps::Comm& comm) {
     auto& x = xs[static_cast<std::size_t>(comm.rank())];
     const double t = bench::time_region(comm, [&] {
       for (int rep = 0; rep < reps; ++rep) {
-        switch (route) {
-          case 0: {
-            const dist::GramColumns s = dist::gram(x, mode);
-            (void)dist::eigenvectors(s, x.grid(), mode, select);
-            break;
-          }
-          case 1:
-            (void)dist::factor_via_tsqr(x, mode, select);
-            break;
-          default:
-            (void)dist::factor_via_sketch(x, mode, select, sketch);
-        }
+        (void)core::factor_mode(x, mode, method, select, 0.0);
       }
     });
     if (comm.rank() == 0) t_out = t / reps;
@@ -56,11 +43,10 @@ double time_route(mps::Runtime& rt, std::vector<dist::DistTensor>& xs,
 }
 
 const char* auto_pick(const tensor::Dims& dims, int mode, std::size_t rank,
-                      const dist::SketchOptions& sketch,
                       const std::vector<int>& shape) {
   const std::size_t jn = dims[static_cast<std::size_t>(mode)];
-  const std::size_t w = dist::sketch_width(jn, rank, sketch);
-  if (costmodel::prefer_sketch(dims, mode, w, sketch.power_iterations, shape))
+  if (costmodel::prefer_sketch(dims, mode, dist::sketch_width(jn, rank),
+                               dist::kSketchPowerIterations, shape))
     return "randomized";
   return costmodel::prefer_tsqr(dims, mode, shape) ? "tsqr" : "gram";
 }
@@ -71,11 +57,15 @@ int run_smoke() {
   const tensor::Dims dims{48, 24, 20};
   const std::vector<int> shape{2, 2, 1};
   const double eps = 0.15;
-  const core::FactorMethod methods[] = {core::FactorMethod::GramEig,
-                                        core::FactorMethod::TsqrSvd,
-                                        core::FactorMethod::Randomized};
+  const struct {
+    core::FactorMethod method;
+    core::FactorRoute route;
+  } requests[] = {{core::FactorMethod::GramEig, core::FactorRoute::Gram},
+                  {core::FactorMethod::TsqrSvd, core::FactorRoute::Tsqr},
+                  {core::FactorMethod::Randomized,
+                   core::FactorRoute::Randomized}};
   bool ok = true;
-  for (const auto method : methods) {
+  for (const auto& request : requests) {
     mps::Runtime rt(4);
     rt.run([&](mps::Comm& comm) {
       auto grid = dist::make_grid(comm, shape);
@@ -83,18 +73,18 @@ int run_smoke() {
           data::make_low_rank(grid, dims, tensor::Dims{6, 5, 4}, 11, 0.005);
       core::SthosvdOptions opts;
       opts.epsilon = eps;
-      opts.factor_method = method;
+      opts.factor_method = request.method;
       const auto result = core::st_hosvd(x, opts);
       const double err =
           core::normalized_error(x, core::reconstruct(result.tucker));
       if (comm.rank() == 0) {
-        const char* name =
-            core::factor_route_name(result.mode_routes.empty()
-                                        ? core::FactorRoute::Gram
-                                        : result.mode_routes[0])
-                .data();
+        const char* name = core::factor_route_name(request.route).data();
         const bool bound_ok = err <= eps && result.error_bound <= eps;
-        const bool route_ok = result.downgrades.empty();
+        // Every mode must have run the requested route (no sketch fallback).
+        bool route_ok = true;
+        for (const core::FactorRoute used : result.mode_routes) {
+          route_ok = route_ok && used == request.route;
+        }
         std::printf("smoke %-10s: err %.3e bound %.3e (eps %.2f) %s\n", name,
                     err, result.error_bound, eps,
                     bound_ok && route_ok ? "ok" : "FAIL");
@@ -128,7 +118,6 @@ int main(int argc, char** argv) {
   PT_REQUIRE(p == 8, "ablation uses a fixed 2x2x2 grid (8 ranks)");
   const tensor::Dims dims{skinny, dim, dim};
   const std::vector<int> shape{2, 2, 2};
-  const dist::SketchOptions sketch;  // defaults: p = 8, q = 1
 
   bench::header("Ablation: factor routes",
                 "Gram+eig vs TSQR+SVD vs randomized sketch per mode of " +
@@ -148,14 +137,17 @@ int main(int argc, char** argv) {
           grid, dims, tensor::Dims{4, 8, 8}, 3, 0.01);
     });
 
-    const double t_gram = time_route(rt, xs, mode, select, 0, sketch, 3);
-    const double t_tsqr = time_route(rt, xs, mode, select, 1, sketch, 3);
-    const double t_rand = time_route(rt, xs, mode, select, 2, sketch, 3);
+    const double t_gram =
+        time_route(rt, xs, mode, select, core::FactorMethod::GramEig, 3);
+    const double t_tsqr =
+        time_route(rt, xs, mode, select, core::FactorMethod::TsqrSvd, 3);
+    const double t_rand =
+        time_route(rt, xs, mode, select, core::FactorMethod::Randomized, 3);
     table.add_row({std::to_string(mode), std::to_string(jn),
                    util::Table::fmt(t_gram, 4), util::Table::fmt(t_tsqr, 4),
                    util::Table::fmt(t_rand, 4),
-                   std::to_string(dist::sketch_width(jn, rank, sketch)),
-                   auto_pick(dims, mode, rank, sketch, shape)});
+                   std::to_string(dist::sketch_width(jn, rank)),
+                   auto_pick(dims, mode, rank, shape)});
   }
   std::printf("%s", table.str().c_str());
 
@@ -165,7 +157,7 @@ int main(int argc, char** argv) {
   // w = rank + oversample, so past the crossover it wins by a growing ratio.
   bench::header("Crossover: mode-0 extent sweep",
                 "fixed rank 8, sketch width " +
-                    std::to_string(dist::sketch_width(256, 8, sketch)) +
+                    std::to_string(dist::sketch_width(256, 8)) +
                     ", q = 1, modes 1-2 at 48");
   util::Table sweep({"J0", "gram(s)", "tsqr(s)", "rand(s)", "rand speedup",
                      "auto picks"});
@@ -180,14 +172,17 @@ int main(int argc, char** argv) {
       xs[static_cast<std::size_t>(comm.rank())] = data::make_low_rank(
           grid, sdims, tensor::Dims{8, 8, 8}, 3, 0.01);
     });
-    const double t_gram = time_route(rt, xs, 0, select, 0, sketch, 3);
-    const double t_tsqr = time_route(rt, xs, 0, select, 1, sketch, 3);
-    const double t_rand = time_route(rt, xs, 0, select, 2, sketch, 3);
+    const double t_gram =
+        time_route(rt, xs, 0, select, core::FactorMethod::GramEig, 3);
+    const double t_tsqr =
+        time_route(rt, xs, 0, select, core::FactorMethod::TsqrSvd, 3);
+    const double t_rand =
+        time_route(rt, xs, 0, select, core::FactorMethod::Randomized, 3);
     const double best_exact = std::min(t_gram, t_tsqr);
     sweep.add_row({std::to_string(d0), util::Table::fmt(t_gram, 4),
                    util::Table::fmt(t_tsqr, 4), util::Table::fmt(t_rand, 4),
                    util::Table::fmt(best_exact / t_rand, 2) + "x",
-                   auto_pick(sdims, 0, 8, sketch, shape)});
+                   auto_pick(sdims, 0, 8, shape)});
   }
   std::printf("%s", sweep.str().c_str());
 

@@ -29,6 +29,7 @@ run "$BUILD/ablate_ttm_paths" --dim 32 --ranks 8
 run "$BUILD/ablate_gram_overlap" --dim 32 --ranks 4
 run "$BUILD/ablate_gram_symmetry" --dim 48 --ranks 8
 run "$BUILD/ablate_factor_routes" --dim 64 --skinny 8 --ranks 8
+run "$BUILD/ablate_eig_solvers" --dim 128
 run "$BUILD/ablate_io_paths" --dim 48 --ranks 4
 run "$BUILD/ablate_archive" --windows 6 --window 2 --ranks 2 --reps 3
 run "$BUILD/grid_tuning" --ranks 4 --dim 16 --rank 4

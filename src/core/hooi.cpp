@@ -52,21 +52,12 @@ HooiResult hooi(const DistTensor& x, const SthosvdOptions& init_options,
       }
       y = dist::ttm_chain(x, ptrs, ttm_order);
 
-      const std::size_t rank = ranks[static_cast<std::size_t>(n)];
-      const dist::RankSelection select = dist::RankSelection::fixed_rank(rank);
-      const FactorRoute route = resolve_factor_route(
-          options.factor_method, y, n, options.sketch, 0.0, rank);
-      dist::FactorResult factor;
-      if (route == FactorRoute::Randomized) {
-        // Fixed-rank selection: the sketch result is always certified.
-        factor = dist::factor_via_sketch(y, n, select, options.sketch).factor;
-      } else if (route == FactorRoute::Tsqr) {
-        factor = dist::factor_via_tsqr(y, n, select);
-      } else {
-        const dist::GramColumns s = dist::gram(y, n);
-        factor = dist::eigenvectors(s, y.grid(), n, select);
-      }
-      factors[static_cast<std::size_t>(n)] = std::move(factor.u);
+      const dist::RankSelection select =
+          dist::RankSelection::fixed_rank(ranks[static_cast<std::size_t>(n)]);
+      factors[static_cast<std::size_t>(n)] =
+          factor_mode(y, n, init_options.factor_method, select,
+                      init_options.epsilon)
+              .factor.u;
     }
     // Core: the last working tensor already has every product but mode N
     // (Alg. 2 line 9 exploits this).

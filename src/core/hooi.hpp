@@ -19,14 +19,6 @@ struct HooiOptions {
   double improvement_tol = 1e-6;
   /// Stop early when relative error reaches this target (0 = disabled).
   double target_error = 0.0;
-
-  /// Route for the per-mode factor update: Gram + eig (paper default),
-  /// Gram-free TSQR, the randomized sketch, or the per-mode cost-model
-  /// choice. Works on any grid.
-  FactorMethod factor_method = FactorMethod::GramEig;
-  /// Knobs for FactorMethod::Randomized. HOOI sweeps use fixed-rank
-  /// selection, so the sketch never needs the eps-tail fallback here.
-  dist::SketchOptions sketch;
 };
 
 struct HooiResult {
@@ -39,7 +31,10 @@ struct HooiResult {
 };
 
 /// Run ST-HOSVD initialization followed by HOOI sweeps. Ranks are chosen by
-/// the initialization (via \p init_options) and stay fixed during HOOI.
+/// the initialization (via \p init_options) and stay fixed during HOOI. The
+/// sweeps compute each factor with the initialization's factor_method
+/// (core::factor_mode); under fixed-rank selection the sketch never falls
+/// back.
 [[nodiscard]] HooiResult hooi(const DistTensor& x,
                               const SthosvdOptions& init_options = {},
                               const HooiOptions& options = {});

@@ -6,6 +6,7 @@
 #include "blas/blas.hpp"
 #include "core/metrics.hpp"
 #include "dist/eigenvectors.hpp"
+#include "dist/sketch.hpp"
 #include "util/rng.hpp"
 
 namespace ptucker::core::seq {
@@ -102,19 +103,18 @@ Matrix orthonormalize(const Matrix& s) {
 /// sketch, thin QR, q power iterations, projection, small SVD. Returns an
 /// empty u with used == Gram when the eps-driven selection cannot
 /// certify the eq. 3 budget (residual alone exceeds it) — the caller falls
-/// back and records the downgrade.
+/// back to the Gram route.
 ModeFactor randomized_factor(const Tensor& y, int mode, std::size_t fixed_rank,
-                             double tail_threshold,
-                             const dist::SketchOptions& sketch) {
+                             double tail_threshold) {
   const std::size_t jn = y.dim(mode);
   const std::size_t jhat = tensor::prod_except(y.dims(), mode);
   const std::size_t width =
-      std::min(dist::sketch_width(jn, std::min(fixed_rank, jn), sketch),
+      std::min(dist::sketch_width(jn, std::min(fixed_rank, jn)),
                std::max<std::size_t>(1, jhat));
 
-  const Tensor omega = omega_tensor(y.dims(), mode, width, sketch.seed);
+  const Tensor omega = omega_tensor(y.dims(), mode, width, dist::kSketchSeed);
   Matrix q = orthonormalize(tensor::local_cross_gram(y, omega, mode));
-  for (int pass = 0; pass < sketch.power_iterations; ++pass) {
+  for (int pass = 0; pass < dist::kSketchPowerIterations; ++pass) {
     const Tensor z = tensor::local_ttm(y, q.transposed(), mode);
     q = orthonormalize(tensor::local_cross_gram(y, z, mode));
   }
@@ -156,11 +156,10 @@ ModeFactor randomized_factor(const Tensor& y, int mode, std::size_t fixed_rank,
 
 /// Leading left singular subspace of the mode-n unfolding of y, with rank
 /// chosen by tail threshold or fixed. `used` records the route that
-/// actually ran; when it differs from \p route the caller records a
-/// downgrade (Tsqr on a non-wide unfolding, or the sketch eps fallback).
+/// actually ran: Gram replaces \p route for Tsqr on a non-wide unfolding
+/// and for the sketch's eps fallback.
 ModeFactor leading_factor(const Tensor& y, int mode, FactorRoute route,
-                          std::size_t fixed_rank, double tail_threshold,
-                          const dist::SketchOptions& sketch) {
+                          std::size_t fixed_rank, double tail_threshold) {
   const std::size_t jn = y.dim(mode);
 
   const tensor::UnfoldShape pre = tensor::unfold_shape(y.dims(), mode);
@@ -169,8 +168,7 @@ ModeFactor leading_factor(const Tensor& y, int mode, FactorRoute route,
     route = FactorRoute::Gram;
   }
   if (route == FactorRoute::Randomized) {
-    ModeFactor out =
-        randomized_factor(y, mode, fixed_rank, tail_threshold, sketch);
+    ModeFactor out = randomized_factor(y, mode, fixed_rank, tail_threshold);
     if (out.used == FactorRoute::Randomized) return out;
     route = FactorRoute::Gram;  // eps-tail fallback
   }
@@ -237,15 +235,8 @@ SeqResult seq_st_hosvd(const Tensor& x, const SeqOptions& options) {
         options.fixed_ranks.empty()
             ? 0
             : options.fixed_ranks[static_cast<std::size_t>(n)];
-    ModeFactor factor = leading_factor(y, n, options.route, fixed,
-                                       tail_threshold, options.sketch);
-    if (factor.used != options.route) {
-      result.downgrades.push_back(
-          {n, options.route, factor.used,
-           options.route == FactorRoute::Tsqr
-               ? "unfolding not wide (Jhat_n < Jn): QR route undefined"
-               : "sketch residual exceeds the eq. 3 per-mode budget"});
-    }
+    ModeFactor factor =
+        leading_factor(y, n, options.route, fixed, tail_threshold);
     result.mode_routes[static_cast<std::size_t>(n)] = factor.used;
     tail_total += factor.residual;
     for (std::size_t i = factor.u.cols(); i < factor.spectrum.size(); ++i) {
@@ -293,8 +284,7 @@ SeqHooiResult seq_hooi(const Tensor& x, const SeqOptions& init_options,
       }
       ModeFactor factor =
           leading_factor(y, n, init_options.route,
-                         ranks[static_cast<std::size_t>(n)], 0.0,
-                         init_options.sketch);
+                         ranks[static_cast<std::size_t>(n)], 0.0);
       result.tucker.factors[static_cast<std::size_t>(n)] = std::move(factor.u);
     }
     result.tucker.core = tensor::local_ttm(

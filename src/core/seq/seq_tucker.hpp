@@ -12,7 +12,6 @@
 
 #include "core/mode_order.hpp"
 #include "core/st_hosvd.hpp"
-#include "dist/sketch.hpp"
 #include "lapack/lapack.hpp"
 #include "tensor/local_kernels.hpp"
 
@@ -40,25 +39,21 @@ struct SeqOptions {
   ///  - Tsqr: QR of the materialized unfolding's transpose + small SVD
   ///    (Sec. IX), the sequential stand-in for the TSQR tree;
   ///  - Randomized: sketch Y(n)*Omega -> thin QR -> project -> small SVD,
-  ///    mirroring the distributed route entry for entry (same
-  ///    counter-based Omega per (seed, mode)).
+  ///    mirroring the distributed route entry for entry: the same seed,
+  ///    width and power iterations (dist/sketch.hpp), so both sketch
+  ///    against the same counter-based Omega per mode.
   FactorRoute route = FactorRoute::Gram;
-  /// Knobs for FactorRoute::Randomized; the seed and width conventions are
-  /// shared with the distributed route, so at a fixed (seed, mode) both
-  /// sketch against the same Omega.
-  dist::SketchOptions sketch;
 };
 
 struct SeqResult {
   SeqTucker tucker;
   std::vector<std::vector<double>> mode_eigenvalues;  ///< by mode
   std::vector<int> mode_order_used;
-  /// Route that actually produced each mode's factor, indexed by mode
-  /// (differs from SeqOptions::route only via a recorded downgrade: Tsqr on
-  /// a non-wide unfolding, or a sketch that failed the eq. 3 posteriori
-  /// check, replaced by the Gram route).
+  /// Route that actually produced each mode's factor, indexed by mode. It
+  /// differs from SeqOptions::route only where the Gram route replaced it:
+  /// Tsqr on a non-wide unfolding, or a sketch that failed the eq. 3
+  /// posteriori check.
   std::vector<FactorRoute> mode_routes;
-  std::vector<RouteDowngrade> downgrades;
   double norm_x = 0.0;
   double error_bound = 0.0;
 };

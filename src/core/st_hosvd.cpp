@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "costmodel/tucker_model.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
 namespace ptucker::core {
@@ -19,9 +20,14 @@ std::string_view factor_route_name(FactorRoute route) {
   return "?";
 }
 
+namespace {
+
+/// The route for one mode of the working tensor: the explicit methods map
+/// one-to-one; Auto asks the cost model. \p fixed_rank is this mode's fixed
+/// target rank, or 0 for eps-driven selection.
 FactorRoute resolve_factor_route(FactorMethod method, const DistTensor& y,
-                                 int mode, const dist::SketchOptions& sketch,
-                                 double epsilon, std::size_t fixed_rank) {
+                                 int mode, double epsilon,
+                                 std::size_t fixed_rank) {
   switch (method) {
     case FactorMethod::GramEig:
       return FactorRoute::Gram;
@@ -36,14 +42,12 @@ FactorRoute resolve_factor_route(FactorMethod method, const DistTensor& y,
       // routinely reject the sketch and pay for both routes.
       const bool sketch_eligible =
           fixed_rank > 0 || epsilon >= dist::kSketchAutoMinEpsilon;
-      if (sketch_eligible) {
-        const std::size_t width =
-            dist::sketch_width(y.global_dim(mode), fixed_rank, sketch);
-        if (costmodel::prefer_sketch(y.global_dims(), mode, width,
-                                     sketch.power_iterations,
-                                     y.grid().shape())) {
-          return FactorRoute::Randomized;
-        }
+      if (sketch_eligible &&
+          costmodel::prefer_sketch(
+              y.global_dims(), mode,
+              dist::sketch_width(y.global_dim(mode), fixed_rank),
+              dist::kSketchPowerIterations, y.grid().shape())) {
+        return FactorRoute::Randomized;
       }
       return costmodel::prefer_tsqr(y.global_dims(), mode, y.grid().shape())
                  ? FactorRoute::Tsqr
@@ -51,6 +55,38 @@ FactorRoute resolve_factor_route(FactorMethod method, const DistTensor& y,
     }
   }
   return FactorRoute::Gram;
+}
+
+}  // namespace
+
+FactorStep factor_mode(const DistTensor& y, int mode, FactorMethod method,
+                       const dist::RankSelection& select, double epsilon) {
+  FactorStep out;
+  out.route = resolve_factor_route(method, y, mode, epsilon,
+                                   select.is_fixed ? select.fixed : 0);
+  if (out.route == FactorRoute::Randomized) {
+    dist::SketchFactorResult sk = dist::factor_via_sketch(y, mode, select);
+    if (sk.certified) {
+      out.factor = std::move(sk.factor);
+      out.residual_energy = sk.residual_energy;
+      return out;
+    }
+    // The sketch residual alone exceeds the eq. 3 per-mode budget: fall
+    // back to the exact Gram route, counted once per grid.
+    out.route = FactorRoute::Gram;
+    if (y.comm().rank() == 0) {
+      static obs::Counter fallbacks =
+          obs::registry().counter("dist.sketch_fallbacks");
+      fallbacks.inc();
+    }
+  }
+  if (out.route == FactorRoute::Tsqr) {
+    out.factor = dist::factor_via_tsqr(y, mode, select);
+  } else {
+    const dist::GramColumns s = dist::gram(y, mode);
+    out.factor = dist::eigenvectors(s, y.grid(), mode, select);
+  }
+  return out;
 }
 
 SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
@@ -83,43 +119,18 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
     // Parent of the kernels' own Gram/Evecs/TTM (or Sketch/TSQR) spans, so
     // a trace of one run shows the Fig. 8 decomposition as a timeline.
     obs::Span span_mode("st_hosvd.mode", n);
-    const std::size_t fixed_rank =
-        options.fixed_ranks.empty()
-            ? std::size_t{0}
-            : options.fixed_ranks[static_cast<std::size_t>(n)];
     const dist::RankSelection select =
         options.fixed_ranks.empty()
             ? dist::RankSelection::threshold(tail_threshold)
-            : dist::RankSelection::fixed_rank(fixed_rank);
-    FactorRoute route =
-        resolve_factor_route(options.factor_method, y, n, options.sketch,
-                             options.epsilon, fixed_rank);
-
-    dist::FactorResult factor;
-    if (route == FactorRoute::Randomized) {
-      dist::SketchFactorResult sk =
-          dist::factor_via_sketch(y, n, select, options.sketch);
-      result.sketches.push_back({n, sk.seed, sk.width, sk.power_iterations,
-                                 !sk.certified});
-      if (sk.certified) {
-        factor = std::move(sk.factor);
-        // The energy outside the sketch subspace is part of what the
-        // truncation discards — charge it to the eq. 3 tail.
-        tail_total += sk.residual_energy;
-      } else {
-        route = FactorRoute::Gram;
-        result.downgrades.push_back(
-            {n, FactorRoute::Randomized, FactorRoute::Gram,
-             "sketch residual exceeds the eq. 3 per-mode budget"});
-      }
-    }
-    if (route == FactorRoute::Tsqr) {
-      factor = dist::factor_via_tsqr(y, n, select);
-    } else if (route == FactorRoute::Gram) {
-      const dist::GramColumns s = dist::gram(y, n);
-      factor = dist::eigenvectors(s, y.grid(), n, select);
-    }
-    result.mode_routes[static_cast<std::size_t>(n)] = route;
+            : dist::RankSelection::fixed_rank(
+                  options.fixed_ranks[static_cast<std::size_t>(n)]);
+    FactorStep step =
+        factor_mode(y, n, options.factor_method, select, options.epsilon);
+    dist::FactorResult& factor = step.factor;
+    result.mode_routes[static_cast<std::size_t>(n)] = step.route;
+    // The energy outside a sketch subspace is part of what the truncation
+    // discards — charge it to the eq. 3 tail.
+    tail_total += step.residual_energy;
 
     // Account the truncated tail toward the eq. (3) error bound.
     for (std::size_t i = factor.rank; i < factor.eigenvalues.size(); ++i) {

@@ -12,7 +12,6 @@
 /// working tensor with a TTM by the transposed factor. After all modes, the
 /// working tensor is the core. Satisfies ‖X − X̃‖ <= eps ‖X‖ (paper eq. 3).
 
-#include <string>
 #include <string_view>
 
 #include "core/mode_order.hpp"
@@ -45,37 +44,29 @@ enum class FactorRoute { Gram, Tsqr, Randomized };
 
 [[nodiscard]] std::string_view factor_route_name(FactorRoute route);
 
-/// A mode whose requested route could not run (or could not certify the
-/// eq. 3 budget) and was replaced by an exact one — recorded instead of
-/// silently downgrading, so benches and tests can assert which route ran.
-struct RouteDowngrade {
-  int mode = -1;
-  FactorRoute requested = FactorRoute::Gram;
-  FactorRoute used = FactorRoute::Gram;
-  std::string reason;
+/// One mode's factor step, as both drivers consume it.
+struct FactorStep {
+  dist::FactorResult factor;
+  /// The route that actually ran: Auto resolved, and Gram when the sketch
+  /// could not certify the eq. 3 budget and fell back.
+  FactorRoute route = FactorRoute::Gram;
+  /// Energy outside the sketch subspace (randomized route only, else 0):
+  /// part of what the truncation discards, so the driver charges it to the
+  /// eq. 3 tail on top of the truncated eigenvalues.
+  double residual_energy = 0.0;
 };
 
-/// Observability record for each mode the randomized route attempted.
-struct SketchTrace {
-  int mode = -1;
-  std::uint64_t seed = 0;
-  std::size_t width = 0;
-  int power_iterations = 0;
-  /// True when the eps-tail check rejected the sketch and the mode fell
-  /// back to the Gram route (also recorded in downgrades).
-  bool fell_back = false;
-};
-
-/// Resolve the route for one mode of the working tensor: the explicit
-/// methods map one-to-one; Auto asks the cost model, considering the sketch
-/// only when selection is fixed-rank or eps is loose enough to leave the
-/// posteriori check headroom (dist::kSketchAutoMinEpsilon). \p fixed_rank is
-/// this mode's fixed target rank, or 0 for eps-driven selection.
-[[nodiscard]] FactorRoute resolve_factor_route(FactorMethod method,
-                                               const DistTensor& y, int mode,
-                                               const dist::SketchOptions& sketch,
-                                               double epsilon,
-                                               std::size_t fixed_rank);
+/// Collective: the factor of mode \p mode of the working tensor \p y (paper
+/// Alg. 1 lines 4-6, Alg. 2 line 6). Resolves \p method for this mode —
+/// Auto asks the cost model, considering the sketch only under fixed-rank
+/// selection or an \p epsilon of at least dist::kSketchAutoMinEpsilon — and
+/// runs the Gram, TSQR or sketch route. An uncertified sketch falls back to
+/// the Gram route and bumps the `dist.sketch_fallbacks` counter once (on
+/// grid rank 0). Every rank returns bitwise-identical results.
+[[nodiscard]] FactorStep factor_mode(const DistTensor& y, int mode,
+                                     FactorMethod method,
+                                     const dist::RankSelection& select,
+                                     double epsilon);
 
 struct SthosvdOptions {
   /// Relative error target eps; used when fixed_ranks is empty.
@@ -86,10 +77,8 @@ struct SthosvdOptions {
   ModeOrderStrategy order_strategy = ModeOrderStrategy::Natural;
   std::vector<int> custom_order;  ///< used when order_strategy == Custom
 
+  /// Factor route for every mode; HOOI sweeps reuse it.
   FactorMethod factor_method = FactorMethod::GramEig;
-  /// Knobs for FactorMethod::Randomized (seed, oversampling, power
-  /// iterations) and the Auto gate for it.
-  dist::SketchOptions sketch;
 };
 
 struct SthosvdResult {
@@ -101,15 +90,9 @@ struct SthosvdResult {
   /// lambda_i(Q^T Y(n)) — length = sketch width, not Jn.
   std::vector<std::vector<double>> mode_eigenvalues;
   std::vector<int> mode_order_used;
-  /// Route that actually produced each mode's factor, indexed by mode.
+  /// Route that actually produced each mode's factor, indexed by mode:
+  /// Auto resolved, and Gram where the sketch fell back.
   std::vector<FactorRoute> mode_routes;
-  /// Modes whose requested route was replaced (currently: the randomized
-  /// route's eps-tail fallback to Gram). Empty means every mode ran the
-  /// route the resolver picked.
-  std::vector<RouteDowngrade> downgrades;
-  /// One record per mode the randomized route attempted (seed, width, q,
-  /// whether it fell back) — the observability trail for reproducing a run.
-  std::vector<SketchTrace> sketches;
   double norm_x = 0.0;       ///< ‖X‖
   double norm_x_sq = 0.0;    ///< ‖X‖²
   /// Upper bound on ‖X − X̃‖ / ‖X‖ from the truncated eigenvalue tails

@@ -171,18 +171,15 @@ tensor::Matrix overlapped_power_cross_gram(const DistTensor& y,
 
 }  // namespace
 
-std::size_t sketch_width(std::size_t jn, std::size_t fixed_rank,
-                         const SketchOptions& options) {
+std::size_t sketch_width(std::size_t jn, std::size_t fixed_rank) {
   if (jn == 0) return 0;
-  std::size_t target = fixed_rank;
-  if (target == 0) target = options.rank_guess;
-  if (target == 0) target = std::max<std::size_t>(1, jn / 4);
-  return std::min(jn, std::max<std::size_t>(1, target + options.oversample));
+  const std::size_t target =
+      fixed_rank > 0 ? fixed_rank : std::max<std::size_t>(1, jn / 4);
+  return std::min(jn, target + kSketchOversample);
 }
 
 SketchFactorResult factor_via_sketch(const DistTensor& y, int mode,
-                                     const RankSelection& select,
-                                     const SketchOptions& options) {
+                                     const RankSelection& select) {
   PT_REQUIRE(mode >= 0 && mode < y.order(), "sketch: mode out of range");
   const std::size_t jn = y.global_dim(mode);
   const std::size_t jhat =
@@ -191,13 +188,13 @@ SketchFactorResult factor_via_sketch(const DistTensor& y, int mode,
       select.is_fixed ? std::min(select.fixed, jn) : std::size_t{0};
   // Wider than the number of unfolding columns adds only zero directions.
   const std::size_t width =
-      std::min(sketch_width(jn, fixed, options), std::max<std::size_t>(1, jhat));
+      std::min(sketch_width(jn, fixed), std::max<std::size_t>(1, jhat));
 
   // Sketch + orthonormalize: S = Y(n) Omega, Q = thin-QR(S).
   tensor::Matrix q;
   {
     obs::Span span("Sketch", mode);
-    const tensor::Tensor omega = omega_block(y, mode, width, options.seed);
+    const tensor::Tensor omega = omega_block(y, mode, width, kSketchSeed);
     q = orthonormalize(replicated_cross_gram(y, omega, mode));
   }
 
@@ -205,7 +202,7 @@ SketchFactorResult factor_via_sketch(const DistTensor& y, int mode,
   // Z(n) = Q^T Y(n)) and one sketch-width cross-Gram with the
   // processor-column allgatherv hidden under the own-block columns, then
   // re-orthonormalize.
-  for (int pass = 0; pass < options.power_iterations; ++pass) {
+  for (int pass = 0; pass < kSketchPowerIterations; ++pass) {
     const DistTensor z = ttm(y, q.transposed(), mode, TtmAlgo::Auto);
     obs::Span span("Sketch", mode);
     q = orthonormalize(overlapped_power_cross_gram(y, z, mode));
@@ -224,9 +221,6 @@ SketchFactorResult factor_via_sketch(const DistTensor& y, int mode,
   const la::JacobiSvd svd = la::jacobi_svd(rt.data(), width, width, width);
 
   SketchFactorResult out;
-  out.width = width;
-  out.power_iterations = options.power_iterations;
-  out.seed = options.seed;
   out.factor.eigenvalues.resize(width);
   double captured = 0.0;
   for (std::size_t i = 0; i < width; ++i) {

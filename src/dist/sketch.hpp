@@ -14,8 +14,9 @@
 ///      of the Jn x w partial replicates S. Cost O(Jn · w · J/(Jn·P)).
 ///   2. Orthonormalize: Q = thin-QR(S), redundant on every rank (S is
 ///      small and replicated — no communication).
-///   3. Optional power iterations (q passes): Z = Y ×n Qᵀ (a TTM), then
-///      S = Y(n) Z(n)ᵀ (cross-Gram against the column-allgathered Z) and
+///   3. Power iterations (q = kSketchPowerIterations passes): Z = Y ×n Qᵀ
+///      (a TTM), then S = Y(n) Z(n)ᵀ (cross-Gram against the
+///      column-allgathered Z) and
 ///      re-orthonormalize — sharpens the subspace when the spectrum decays
 ///      slowly, at one TTM + one sketch-width cross-Gram per pass.
 ///   4. Project + small spectrum: Z = Y ×n Qᵀ, then the existing general
@@ -30,37 +31,31 @@
 /// both, so an eq. 3 eps budget certified here is a true bound; when even
 /// the residual alone exceeds the per-mode budget the result is returned
 /// uncertified and the driver falls back to the Gram route (recorded in
-/// SthosvdResult::downgrades).
+/// SthosvdResult::mode_routes and the `dist.sketch_fallbacks` counter).
 
 #include "dist/eigenvectors.hpp"
 #include "dist/ttm.hpp"
 
 namespace ptucker::dist {
 
-/// Knobs for the randomized route (core::SthosvdOptions::sketch).
-struct SketchOptions {
-  /// Seed of the counter-based test matrix; results are deterministic per
-  /// (seed, mode) and bit-identical for any gemm_threads setting.
-  std::uint64_t seed = 0x5eed;
-  /// Oversampling p: sketch width = target rank + p (clamped to Jn).
-  std::size_t oversample = 8;
-  /// Power-iteration passes q (each one TTM + one sketch cross-Gram).
-  int power_iterations = 1;
-  /// Assumed target rank when selection is eps-driven (no fixed ranks);
-  /// 0 = the Jn/4 heuristic. Ignored under fixed-rank selection.
-  std::size_t rank_guess = 0;
-};
+/// Seed of the counter-based test matrix: the sketch is deterministic per
+/// mode and bit-identical for any gemm_threads setting. The sequential
+/// oracle (core/seq) sketches against the same Omega.
+inline constexpr std::uint64_t kSketchSeed = 0x5eed;
+/// Oversampling p: sketch width = target rank + p (clamped to Jn).
+inline constexpr std::size_t kSketchOversample = 8;
+/// Power-iteration passes q (each one TTM + one sketch cross-Gram).
+inline constexpr int kSketchPowerIterations = 1;
 
 /// FactorMethod::Auto considers the sketch only when the eps target is at
 /// least this loose (tight targets would always trip the eps-tail fallback
 /// and pay for both routes). Fixed-rank runs ignore it.
 inline constexpr double kSketchAutoMinEpsilon = 1e-6;
 
-/// Sketch width for a mode of extent jn: target + oversample, clamped to
-/// jn. \p fixed_rank is the fixed target rank, or 0 for eps-driven
-/// selection (then rank_guess / the Jn/4 heuristic supplies the target).
-[[nodiscard]] std::size_t sketch_width(std::size_t jn, std::size_t fixed_rank,
-                                       const SketchOptions& options);
+/// Sketch width for a mode of extent jn: target + kSketchOversample,
+/// clamped to jn. \p fixed_rank is the fixed target rank, or 0 for
+/// eps-driven selection (then the target is Jn/4).
+[[nodiscard]] std::size_t sketch_width(std::size_t jn, std::size_t fixed_rank);
 
 struct SketchFactorResult {
   /// eigenvalues are the sketch spectrum λ_i(B) (length = width, not Jn).
@@ -73,16 +68,12 @@ struct SketchFactorResult {
   /// (residual_energy alone exceeds it) — the caller must fall back to an
   /// exact route. Always true under fixed-rank selection.
   bool certified = true;
-  std::size_t width = 0;
-  int power_iterations = 0;
-  std::uint64_t seed = 0;
 };
 
 /// Collective: factor matrix via the randomized sketch. Every rank returns
-/// bitwise-identical results; the subspace is reproducible per (seed, mode)
-/// on any grid.
+/// bitwise-identical results; the subspace is reproducible per mode on any
+/// grid.
 [[nodiscard]] SketchFactorResult factor_via_sketch(
-    const DistTensor& y, int mode, const RankSelection& select,
-    const SketchOptions& options);
+    const DistTensor& y, int mode, const RankSelection& select);
 
 }  // namespace ptucker::dist

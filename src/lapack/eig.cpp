@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "blas/blas.hpp"
@@ -115,15 +116,22 @@ void tridiag_ql(std::vector<double>& d, std::vector<double>& e,
   };
   for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
+  // Deflate against the norm of the whole tridiagonal, not the local
+  // |d[m]| + |d[m+1]|: on a graded spectrum (a Gram spanning 20 decades)
+  // the local test stalls once a block's entries sink to roundoff of the
+  // largest eigenvalue, while an off-diagonal below eps * ||T|| is already
+  // negligible for every eigenpair.
+  double tnorm = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    tnorm = std::max(tnorm, std::fabs(d[i]) + std::fabs(e[i]));
+  }
+  const double deflate = std::numeric_limits<double>::epsilon() * tnorm;
   for (std::size_t l = 0; l < n; ++l) {
     int iter = 0;
     std::size_t m;
     do {
       for (m = l; m + 1 < n; ++m) {
-        const double dd = std::fabs(d[m]) + std::fabs(d[m + 1]);
-        if (std::fabs(e[m]) <= std::numeric_limits<double>::epsilon() * dd) {
-          break;
-        }
+        if (std::fabs(e[m]) <= deflate) break;
       }
       if (m != l) {
         PT_CHECK(iter++ < 64, "tridiagonal QL failed to converge");

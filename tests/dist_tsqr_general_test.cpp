@@ -233,15 +233,15 @@ TEST(TsqrGeneral, HooiWithTsqrMatchesGramRoute) {
     auto grid = dist::make_grid(comm, {2, 3, 1});
     const DistTensor x =
         data::make_low_rank(grid, dims, Dims{3, 3, 3}, 29, 0.1);
-    core::SthosvdOptions init;
-    init.fixed_ranks = {3, 3, 3};
-    core::HooiOptions gram_opts;
-    gram_opts.max_sweeps = 3;
-    core::HooiOptions tsqr_opts = gram_opts;
-    tsqr_opts.factor_method = core::FactorMethod::TsqrSvd;
+    core::SthosvdOptions gram_init;
+    gram_init.fixed_ranks = {3, 3, 3};
+    core::SthosvdOptions tsqr_init = gram_init;
+    tsqr_init.factor_method = core::FactorMethod::TsqrSvd;
+    core::HooiOptions opts;
+    opts.max_sweeps = 3;
 
-    const auto a = core::hooi(x, init, gram_opts);
-    const auto b = core::hooi(x, init, tsqr_opts);
+    const auto a = core::hooi(x, gram_init, opts);
+    const auto b = core::hooi(x, tsqr_init, opts);
     ASSERT_EQ(a.error_history.size(), b.error_history.size());
     for (std::size_t i = 0; i < a.error_history.size(); ++i) {
       EXPECT_NEAR(a.error_history[i], b.error_history[i], 1e-8)

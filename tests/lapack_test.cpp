@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "blas/blas.hpp"
 #include "lapack/lapack.hpp"
@@ -175,6 +176,73 @@ TEST(Eig, ZeroMatrixIsHarmless) {
   Matrix v(n, n);
   blas::copy(n * n, eig.vectors.data(), v.data());
   EXPECT_LT(testing::orthonormality_defect(v), 1e-12);
+}
+
+/// Gram matrix Y Y^T of Y = U diag(sigma) V^T (n x 2n), the input the
+/// factor step hands the eigensolver.
+Matrix gram_of_spectrum(const std::vector<double>& sigma, std::uint64_t seed) {
+  const std::size_t n = sigma.size();
+  const std::size_t cols = 2 * n;
+  Matrix us = Matrix::random_orthonormal(n, n, seed);
+  const Matrix v = Matrix::random_orthonormal(cols, n, seed + 1);
+  for (std::size_t j = 0; j < n; ++j) blas::scal(n, sigma[j], us.col(j));
+  const Matrix y = Matrix::multiply(us, false, v, true);
+  Matrix g(n, n);
+  blas::syrk_full(blas::Trans::No, n, cols, 1.0, y.data(), n, 0.0, g.data(),
+                  n);
+  return g;
+}
+
+/// Eigenvalues agree with the Jacobi oracle, the vectors are orthonormal,
+/// and every pair has a small residual, all relative to lambda_max.
+void expect_matches_jacobi(const Matrix& g) {
+  const std::size_t n = g.rows();
+  const la::SymEig ql = la::eig_sym(g.data(), n, n);
+  const la::SymEig jac = la::eig_sym_jacobi(g.data(), n, n);
+  const double lmax = std::fabs(jac.values[0]);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(ql.values[i], jac.values[i], 1e-12 * lmax) << "value " << i;
+  }
+  Matrix v(n, n);
+  blas::copy(n * n, ql.vectors.data(), v.data());
+  EXPECT_LT(testing::orthonormality_defect(v), 1e-12);
+  double residual = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    std::vector<double> gv(n, 0.0);
+    blas::gemv(blas::Trans::No, n, n, 1.0, g.data(), n, ql.vector(j), 0.0,
+               gv.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      residual = std::max(
+          residual, std::fabs(gv[i] - ql.values[j] * ql.vector(j)[i]));
+    }
+  }
+  EXPECT_LT(residual, 1e-12 * lmax);
+}
+
+/// Singular values decaying geometrically over 10 and 20 decades, so the
+/// Gram spans 20 and 40: the local deflation test of textbook tql2 stalls
+/// here once the trailing block sinks to roundoff. Plus clustered singular
+/// values with a block of exact zeros.
+TEST(Eig, GradedAndClusteredGramSpectra) {
+  for (const std::size_t n : {std::size_t{128}, std::size_t{256}}) {
+    for (const double decades : {10.0, 20.0}) {
+      std::vector<double> sigma(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        sigma[i] = std::pow(10.0, -decades * static_cast<double>(i) /
+                                      static_cast<double>(n - 1));
+      }
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " decades=" + std::to_string(decades));
+      expect_matches_jacobi(gram_of_spectrum(sigma, 3 + n));
+    }
+  }
+  // Clusters of 32 at 1, 1e-5 and 1e-10, then 32 exact zeros.
+  std::vector<double> clustered(128, 0.0);
+  for (std::size_t i = 0; i < 96; ++i) {
+    clustered[i] = std::pow(10.0, -5.0 * static_cast<double>(i / 32));
+  }
+  SCOPED_TRACE("clustered");
+  expect_matches_jacobi(gram_of_spectrum(clustered, 77));
 }
 
 TEST(Qr, ThinQrReconstructsInput) {

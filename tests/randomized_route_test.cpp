@@ -1,9 +1,9 @@
 /// \file randomized_route_test.cpp
 /// \brief The randomized sketched factor route (FactorMethod::Randomized):
 /// eq. 3 error bound against the sequential oracle on ragged dims, the
-/// oversampling / power-iteration knobs, the cost-model Auto crossover, the
-/// eps-tail fallback to the Gram route, and the recorded (never silent)
-/// downgrades of the sequential oracle.
+/// sketch width, the cost-model Auto crossover, the eps-tail fallback to the
+/// Gram route (recorded in mode_routes and counted, never silent), and the
+/// sequential oracle's route record.
 
 #include <gtest/gtest.h>
 
@@ -40,7 +40,9 @@ TEST(RandomizedRoute, Eq3BoundMatchesSequentialOracleOnRaggedDims) {
   seq_opts.route = core::FactorRoute::Randomized;
   const Tensor global = data::make_low_rank_seq(dims, Dims{5, 4, 3}, 7, 0.01);
   const auto ref = core::seq::seq_st_hosvd(global, seq_opts);
-  EXPECT_TRUE(ref.downgrades.empty());
+  for (const core::FactorRoute route : ref.mode_routes) {
+    EXPECT_EQ(route, core::FactorRoute::Randomized);
+  }
   const double ref_err = core::seq::seq_normalized_error(
       global, core::seq::seq_reconstruct(ref.tucker));
   EXPECT_LE(ref_err, eps);
@@ -58,7 +60,6 @@ TEST(RandomizedRoute, Eq3BoundMatchesSequentialOracleOnRaggedDims) {
       opts.epsilon = eps;
       opts.factor_method = core::FactorMethod::Randomized;
       const auto got = core::st_hosvd(x, opts);
-      EXPECT_TRUE(got.downgrades.empty());
       for (int n = 0; n < 3; ++n) {
         EXPECT_EQ(got.mode_routes[static_cast<std::size_t>(n)],
                   core::FactorRoute::Randomized);
@@ -76,8 +77,11 @@ TEST(RandomizedRoute, Eq3BoundMatchesSequentialOracleOnRaggedDims) {
   }
 }
 
-TEST(RandomizedRoute, ObservabilityRecordsSeedWidthAndPowerIterations) {
+/// Under fixed ranks every mode runs the sketch at width rank + 8, which is
+/// the length of the sketch spectrum the driver records.
+TEST(RandomizedRoute, SketchWidthIsRankPlusOversample) {
   const Dims dims{24, 18, 12};
+  const testing::CounterDelta delta;
   run_ranks(1, [&](mps::Comm& comm) {
     auto grid = dist::make_grid(comm, {1, 1, 1});
     const DistTensor x = data::make_low_rank(grid, dims, Dims{4, 4, 3}, 3,
@@ -85,27 +89,19 @@ TEST(RandomizedRoute, ObservabilityRecordsSeedWidthAndPowerIterations) {
     core::SthosvdOptions opts;
     opts.fixed_ranks = {4, 4, 3};
     opts.factor_method = core::FactorMethod::Randomized;
-    opts.sketch.seed = 0xabcd;
-    opts.sketch.oversample = 5;
-    opts.sketch.power_iterations = 2;
     const auto got = core::st_hosvd(x, opts);
-    ASSERT_EQ(got.sketches.size(), 3u);
-    for (const auto& trace : got.sketches) {
-      EXPECT_EQ(trace.seed, 0xabcdu);
-      EXPECT_EQ(trace.power_iterations, 2);
-      EXPECT_FALSE(trace.fell_back);
-      // width = rank + oversample, clamped to the (shrinking) mode extent.
-      const std::size_t rank =
-          opts.fixed_ranks[static_cast<std::size_t>(trace.mode)];
-      EXPECT_EQ(trace.width, rank + 5) << "mode " << trace.mode;
+    for (std::size_t n = 0; n < 3; ++n) {
+      EXPECT_EQ(got.mode_routes[n], core::FactorRoute::Randomized);
+      EXPECT_EQ(got.mode_eigenvalues[n].size(), opts.fixed_ranks[n] + 8)
+          << "mode " << n;
     }
   });
+  EXPECT_EQ(delta("dist.sketch_fallbacks"), 0u);
 }
 
-/// More oversampling and more power iterations only sharpen the subspace:
-/// every configuration passes the bound-free sanity checks, and the richest
-/// one is as good as the exact Gram route.
-TEST(RandomizedRoute, OversamplingAndPowerIterationSweep) {
+/// The default sketch (8 oversampling columns, one power iteration) passes
+/// the bound-free sanity checks and is as good as the exact Gram route.
+TEST(RandomizedRoute, DefaultSketchMatchesExactRoute) {
   const Dims dims{40, 24, 16};
   const Dims ranks{6, 5, 4};
   run_ranks(2, [&](mps::Comm& comm) {
@@ -117,29 +113,17 @@ TEST(RandomizedRoute, OversamplingAndPowerIterationSweep) {
     const double exact_err =
         core::normalized_error(x, core::reconstruct(exact.tucker));
 
-    const struct {
-      std::size_t oversample;
-      int power_iterations;
-    } configs[] = {{2, 0}, {4, 1}, {8, 2}};
-    for (const auto& cfg : configs) {
-      core::SthosvdOptions opts;
-      opts.fixed_ranks = ranks;
-      opts.factor_method = core::FactorMethod::Randomized;
-      opts.sketch.oversample = cfg.oversample;
-      opts.sketch.power_iterations = cfg.power_iterations;
-      const auto got = core::st_hosvd(x, opts);
-      EXPECT_EQ(got.tucker.core_dims(), exact.tucker.core_dims());
-      for (const auto& u : got.tucker.factors) {
-        EXPECT_LT(testing::orthonormality_defect(u), 1e-10);
-      }
-      const double err =
-          core::normalized_error(x, core::reconstruct(got.tucker));
-      EXPECT_LE(err, 2.0 * exact_err)
-          << "p=" << cfg.oversample << " q=" << cfg.power_iterations;
-      if (cfg.oversample == 8) {
-        EXPECT_LE(err, 1.1 * exact_err) << "rich sketch should match exact";
-      }
+    core::SthosvdOptions opts;
+    opts.fixed_ranks = ranks;
+    opts.factor_method = core::FactorMethod::Randomized;
+    const auto got = core::st_hosvd(x, opts);
+    EXPECT_EQ(got.tucker.core_dims(), exact.tucker.core_dims());
+    for (const auto& u : got.tucker.factors) {
+      EXPECT_LT(testing::orthonormality_defect(u), 1e-10);
     }
+    const double err =
+        core::normalized_error(x, core::reconstruct(got.tucker));
+    EXPECT_LE(err, 1.1 * exact_err) << "default sketch should match exact";
   });
 }
 
@@ -183,11 +167,11 @@ TEST(RandomizedRoute, AutoPolicyFollowsCostModel) {
     const auto got = core::st_hosvd(x, opts);
 
     // The driver's choice must agree with the public predicate.
-    const std::size_t w0 = dist::sketch_width(256, 8, opts.sketch);
-    ASSERT_TRUE(costmodel::prefer_sketch(dims, 0, w0, 1, {1, 1, 1}));
+    const std::size_t w0 = dist::sketch_width(256, 8);
+    ASSERT_TRUE(costmodel::prefer_sketch(dims, 0, w0,
+                                         dist::kSketchPowerIterations,
+                                         {1, 1, 1}));
     EXPECT_EQ(got.mode_routes[0], core::FactorRoute::Randomized);
-    ASSERT_EQ(got.sketches.size(), 1u);
-    EXPECT_EQ(got.sketches[0].mode, 0);
     // After mode 0 truncates to 8, the later unfoldings are small: exact.
     EXPECT_NE(got.mode_routes[1], core::FactorRoute::Randomized);
     EXPECT_NE(got.mode_routes[2], core::FactorRoute::Randomized);
@@ -196,11 +180,14 @@ TEST(RandomizedRoute, AutoPolicyFollowsCostModel) {
 }
 
 /// A tight eps on full-rank data starves the sketch of budget: the
-/// posteriori check must reject it, fall back to the Gram route, record the
-/// downgrade — and the eq. 3 bound must still hold through the fallback.
+/// posteriori check must reject it, fall back to the Gram route, record it
+/// in mode_routes and count it once per fallback (not once per rank) — and
+/// the eq. 3 bound must still hold through the fallback.
 TEST(RandomizedRoute, EpsTailFallbackToGramIsRecorded) {
   const Dims dims{24, 12, 10};
   const double eps = 1e-4;
+  const testing::CounterDelta delta;
+  std::uint64_t gram_modes = 0;
   run_ranks(2, [&](mps::Comm& comm) {
     auto grid = dist::make_grid(comm, {2, 1, 1});
     DistTensor x(grid, dims);
@@ -208,31 +195,24 @@ TEST(RandomizedRoute, EpsTailFallbackToGramIsRecorded) {
     core::SthosvdOptions opts;
     opts.epsilon = eps;
     opts.factor_method = core::FactorMethod::Randomized;
-    opts.sketch.rank_guess = 4;
-    opts.sketch.oversample = 2;
     const auto got = core::st_hosvd(x, opts);
-    ASSERT_FALSE(got.downgrades.empty());
-    for (const auto& d : got.downgrades) {
-      EXPECT_EQ(d.requested, core::FactorRoute::Randomized);
-      EXPECT_EQ(d.used, core::FactorRoute::Gram);
-      EXPECT_EQ(got.mode_routes[static_cast<std::size_t>(d.mode)],
-                core::FactorRoute::Gram);
-      EXPECT_FALSE(d.reason.empty());
+    if (comm.rank() == 0) {
+      for (const core::FactorRoute route : got.mode_routes) {
+        if (route == core::FactorRoute::Gram) ++gram_modes;
+      }
     }
-    // Every fallback also shows up in the sketch observability trail.
-    ASSERT_FALSE(got.sketches.empty());
-    bool any_fell_back = false;
-    for (const auto& trace : got.sketches) any_fell_back |= trace.fell_back;
-    EXPECT_TRUE(any_fell_back);
+    EXPECT_EQ(got.mode_routes[0], core::FactorRoute::Gram);
     EXPECT_LE(got.error_bound, eps);
     const double err =
         core::normalized_error(x, core::reconstruct(got.tucker));
     EXPECT_LE(err, eps);
   });
+  EXPECT_GE(gram_modes, 1u);
+  EXPECT_EQ(delta("dist.sketch_fallbacks"), gram_modes);
 }
 
-/// The sequential oracle's Tsqr -> Gram downgrade on a non-wide unfolding
-/// is recorded, not silent.
+/// The sequential oracle's Tsqr -> Gram replacement on a non-wide
+/// unfolding is recorded in mode_routes, not silent.
 TEST(RandomizedRoute, SeqSvdQrDowngradeIsRecorded) {
   const Tensor x = Tensor::randn(Dims{16, 2, 2}, 21);
   core::seq::SeqOptions opts;
@@ -241,54 +221,42 @@ TEST(RandomizedRoute, SeqSvdQrDowngradeIsRecorded) {
   const auto got = core::seq::seq_st_hosvd(x, opts);
   // Mode 0's unfolding is 16 x 4 — not wide, so the QR route is undefined
   // and the Gram route runs instead; modes 1 and 2 are wide and keep Tsqr.
-  ASSERT_EQ(got.downgrades.size(), 1u);
-  EXPECT_EQ(got.downgrades[0].mode, 0);
-  EXPECT_EQ(got.downgrades[0].requested, core::FactorRoute::Tsqr);
-  EXPECT_EQ(got.downgrades[0].used, core::FactorRoute::Gram);
-  EXPECT_FALSE(got.downgrades[0].reason.empty());
   EXPECT_EQ(got.mode_routes[0], core::FactorRoute::Gram);
   EXPECT_EQ(got.mode_routes[1], core::FactorRoute::Tsqr);
   EXPECT_EQ(got.mode_routes[2], core::FactorRoute::Tsqr);
 }
 
-/// The sequential randomized route uses the same recorded-downgrade
-/// mechanism for its eps-tail fallback.
+/// The sequential randomized route records its eps-tail fallback in
+/// mode_routes too.
 TEST(RandomizedRoute, SeqSketchFallbackIsRecorded) {
   const Tensor x = Tensor::randn(Dims{20, 8, 8}, 33);
   core::seq::SeqOptions opts;
   opts.epsilon = 1e-4;
   opts.route = core::FactorRoute::Randomized;
-  opts.sketch.rank_guess = 3;
-  opts.sketch.oversample = 2;
   const auto got = core::seq::seq_st_hosvd(x, opts);
-  ASSERT_FALSE(got.downgrades.empty());
-  EXPECT_EQ(got.downgrades[0].requested,
-            core::FactorRoute::Randomized);
-  EXPECT_EQ(got.downgrades[0].used, core::FactorRoute::Gram);
+  EXPECT_EQ(got.mode_routes[0], core::FactorRoute::Gram);
   const double err = core::seq::seq_normalized_error(
       x, core::seq::seq_reconstruct(got.tucker));
   EXPECT_LE(err, opts.epsilon);
 }
 
-/// HOOI accepts the randomized route for its fixed-rank sweeps and stays
-/// monotone, landing at the same fit as the Gram-route sweeps.
+/// HOOI sweeps reuse the initialization's randomized route under fixed
+/// ranks and stay monotone, landing at the same fit as the Gram route.
 TEST(RandomizedRoute, HooiSweepsMatchGramRoute) {
   const Dims dims{30, 20, 14};
   const Dims ranks{5, 4, 3};
   run_ranks(2, [&](mps::Comm& comm) {
     auto grid = dist::make_grid(comm, {2, 1, 1});
     const DistTensor x = data::make_low_rank(grid, dims, ranks, 55, 0.1);
-    core::SthosvdOptions init;
-    init.fixed_ranks = ranks;
-    core::HooiOptions gram_opts;
-    gram_opts.max_sweeps = 3;
-    core::HooiOptions rand_opts = gram_opts;
-    rand_opts.factor_method = core::FactorMethod::Randomized;
-    rand_opts.sketch.oversample = 8;
-    rand_opts.sketch.power_iterations = 2;
+    core::SthosvdOptions gram_init;
+    gram_init.fixed_ranks = ranks;
+    core::SthosvdOptions rand_init = gram_init;
+    rand_init.factor_method = core::FactorMethod::Randomized;
+    core::HooiOptions opts;
+    opts.max_sweeps = 3;
 
-    const auto a = core::hooi(x, init, gram_opts);
-    const auto b = core::hooi(x, init, rand_opts);
+    const auto a = core::hooi(x, gram_init, opts);
+    const auto b = core::hooi(x, rand_init, opts);
     ASSERT_FALSE(b.error_history.empty());
     for (std::size_t i = 1; i < b.error_history.size(); ++i) {
       EXPECT_LE(b.error_history[i], b.error_history[i - 1] + 1e-12)
